@@ -1426,12 +1426,12 @@ let write_bench_json file =
           ("max", Json.Num s.Socet_obs.Histogram.s_max);
         ] )
   in
-  let timer_json (n, (count, total_ms)) =
+  let timer_json (n, (count, total_us)) =
     ( n,
       Json.Obj
         [
           ("calls", Json.Num (float_of_int count));
-          ("total_ms", Json.Num total_ms);
+          ("total_ms", Json.Num (total_us /. 1000.0));
         ] )
   in
   let parallel_json =

@@ -515,9 +515,8 @@ let plan_both soc width =
 (* A functional-but-equivalent netlist edit to the first core: an
    inverter pair spliced into its first primary output.  The logic
    function is unchanged, the structure is not — exactly the edit whose
-   blast radius the incremental story bounds (its own ATPG and the
-   chip-level schedules recompute; every other core's artifacts and all
-   access routes are reused). *)
+   blast radius the incremental story bounds (its own ATPG and the TAM
+   schedule recompute; every other core's ATPG is reused). *)
 let edit_first_core soc =
   match soc.Soc.insts with
   | [] -> ()
@@ -537,8 +536,8 @@ let cmd_diff_test opts cache seed cores width =
     Socet_cores.Gen.random_soc ?cores ~hetero:true (Socet_util.Rng.create seed)
   in
   (* Each pass regenerates the SOC from the seed with the scoreboard
-     reset first, so per-core artifacts created during instantiation
-     (version ladders) are tallied with the pass that triggered them. *)
+     reset first, so every lookup is tallied with the pass that made
+     it. *)
   let run_pass label ~edit =
     Cache.reset_scoreboard ();
     let soc = gen () in

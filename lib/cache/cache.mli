@@ -2,10 +2,13 @@
     (DESIGN.md §16).
 
     Engines key their expensive artifacts by canonical content hashes
-    ({!Socet_netlist.Structhash} for netlists, RTL renderings for cores)
-    and call {!find}/{!store}/{!memo} with a namespace and key; the CLI
-    and the serve dispatcher decide {e whether} a store is active
-    ([--cache DIR], the wire protocol's cache field).  With no active
+    and call {!memo} with a namespace and key.  Two namespaces exist:
+    [podem1] (per-core ATPG, keyed by {!Socet_netlist.Structhash} plus
+    engine parameters) and [tamsched1] (whole TAM schedules, keyed by
+    the SOC's content hash plus TAM width).  Access routes and version
+    ladders are never stored.  The CLI and the serve dispatcher decide
+    {e whether} a store is active ([--cache DIR], the wire protocol's
+    cache field).  With no active
     store every entry point is a no-op, so un-cached runs pay one atomic
     load per hook.
 
@@ -39,12 +42,10 @@ val find : ns:string -> key:string -> 'a option
     with the marshaled type, so stale stores miss instead of decoding
     garbage. *)
 
-val store : ns:string -> key:string -> 'a -> unit
-(** Store a plain-data value (no closures or custom blocks) in the
-    active store; a no-op without one. *)
-
 val memo : ns:string -> key:string -> (unit -> 'a) -> 'a
-(** [find] or compute-and-[store]. *)
+(** [find] or compute-and-store: the only way an engine writes.  The
+    value must be plain data (no closures or custom blocks); without an
+    active store the thunk just runs. *)
 
 val scoreboard : unit -> (string * int * int) list
 (** Per-namespace [(ns, hits, misses)] since the last reset, sorted —

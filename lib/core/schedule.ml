@@ -106,111 +106,6 @@ let build_core_test ?budget ccg ci =
     let observe = observe_routes ccg name in
     core_test_of_routes ci ~justify ~observe
 
-(* ------------------------------------------------------------------ *)
-(* Per-core dependency cones                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Which cores' version choices can influence core [X]'s test: routes
-   justifying X's inputs ride directed paths PI -> ... -> X.in, so only
-   cores with a directed path to X matter on the justify side; dually,
-   observation rides X.out -> ... -> PO, so only cores reachable from X
-   matter on the observe side.  Closing the core-to-core connection
-   graph gives static per-side dependency sets — two full choices
-   agreeing on X's justify (observe) set yield bit-identical justify
-   (observe) routes for X.  X itself only joins a set when it sits on a
-   connection cycle (a route could then re-enter its own transparency). *)
-let dependency_sets soc =
-  let preds = Hashtbl.create 16 and succs = Hashtbl.create 16 in
-  let push tbl k v =
-    let cur = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
-    if not (List.mem v cur) then Hashtbl.replace tbl k (v :: cur)
-  in
-  List.iter
-    (fun (c : Soc.connection) ->
-      match (c.Soc.c_from, c.Soc.c_to) with
-      | Soc.Cport (a, _), Soc.Cport (b, _) when a <> b ->
-          push preds b a;
-          push succs a b
-      | _ -> ())
-    soc.Soc.conns;
-  (* Proper reachability: [seed] is included only via a cycle back to
-     itself, not by fiat. *)
-  let reach tbl seed =
-    let seen = Hashtbl.create 8 in
-    let rec go n =
-      if not (Hashtbl.mem seen n) then begin
-        Hashtbl.add seen n ();
-        List.iter go (Option.value ~default:[] (Hashtbl.find_opt tbl n))
-      end
-    in
-    List.iter go (Option.value ~default:[] (Hashtbl.find_opt tbl seed));
-    seen
-  in
-  let names_in tbl =
-    List.filter_map
-      (fun ci ->
-        let n = ci.Soc.ci_name in
-        if Hashtbl.mem tbl n then Some n else None)
-      soc.Soc.insts
-  in
-  List.map
-    (fun ci ->
-      let name = ci.Soc.ci_name in
-      (name, names_in (reach preds name), names_in (reach succs name)))
-    soc.Soc.insts
-
-let has_forced_smux routes =
-  List.exists (fun (r : Access.route) -> r.Access.r_added_smux <> None) routes
-
-let relevant_smuxes ~side ~name ~cone smuxes =
-  List.sort compare
-    (List.filter
-       (fun (sm : smux_request) ->
-         (match (side, sm.sm_dir) with
-         | `J, `In | `O, `Out -> true
-         | `J, `Out | `O, `In -> false)
-         && (sm.sm_inst = name || List.mem sm.sm_inst cone))
-       smuxes)
-
-(* ------------------------------------------------------------------ *)
-(* Persistent route cache                                              *)
-(* ------------------------------------------------------------------ *)
-
-module Cache = Socet_cache.Cache
-
-let route_ns = "routes1"
-
-(* A persistent route key is the in-memory Select memo key rebased from
-   per-process identities onto content: the SOC's skeleton hash pins the
-   CCG node-id space (so stored node/edge ids mean the same thing on
-   reload), and each cone member contributes its RTL hash alongside its
-   chosen version (a core's transparency edges are a pure function of
-   its RTL).  The core under test contributes its own RTL hash too —
-   conservative, and exactly the incremental-re-test granularity: edit
-   one core and only its own routes plus routes whose cone contains it
-   recompute. *)
-let route_key ~skeleton ~rhash ~choice ~smuxes ~side ~cone name =
-  let b = Buffer.create 256 in
-  Buffer.add_string b skeleton;
-  Buffer.add_string b (match side with `J -> "|J|" | `O -> "|O|");
-  Buffer.add_string b name;
-  Buffer.add_string b ("@" ^ List.assoc name rhash);
-  List.iter
-    (fun d ->
-      let k = Option.value ~default:1 (List.assoc_opt d choice) in
-      Buffer.add_string b (Printf.sprintf "|%s@%s#%d" d (List.assoc d rhash) k))
-    cone;
-  List.iter
-    (fun sm ->
-      Buffer.add_string b
-        (Printf.sprintf "|sm:%s.%s.%s" sm.sm_inst sm.sm_port
-           (match sm.sm_dir with `In -> "i" | `Out -> "o")))
-    (relevant_smuxes ~side ~name ~cone smuxes);
-  Buffer.contents b
-
-let rtl_hashes soc =
-  List.map (fun ci -> (ci.Soc.ci_name, Soc.rtl_hash ci)) soc.Soc.insts
-
 (* Turn explicitly requested system-level test muxes into real CCG edges
    so routing can use them; returns their total area cost. *)
 let install_smuxes soc ccg smuxes =
@@ -273,47 +168,12 @@ let assemble soc ~choice ?(n_requested = 0) ?(requested_cost = 0) ccg tests =
     s_usage = Access.edge_usage all_routes;
   }
 
-(* The cached per-core loop mirrors the Select memo's clean-flag
-   discipline: a computed route that forced a system-level mux mutates
-   the CCG, making every later core's routing a function of this build's
-   history rather than of its key — from the first forced mux on,
-   neither lookups nor stores are sound for the rest of the build.
-   Budgeted builds bypass the cache entirely (a truncated result is not
-   a pure function of the key). *)
-let cached_core_tests soc ccg ~choice ~smuxes =
-  let deps = dependency_sets soc in
-  let skeleton = Soc.skeleton_hash soc in
-  let rhash = rtl_hashes soc in
-  let clean = ref true in
-  List.map
-    (fun ci ->
-      let name = ci.Soc.ci_name in
-      let _, back, fwd = List.find (fun (n, _, _) -> n = name) deps in
-      let side_routes side cone compute =
-        let key = route_key ~skeleton ~rhash ~choice ~smuxes ~side ~cone name in
-        match (if !clean then Cache.find ~ns:route_ns ~key else None) with
-        | Some routes -> routes
-        | None ->
-            let routes = compute ccg name in
-            if has_forced_smux routes then clean := false
-            else if !clean then Cache.store ~ns:route_ns ~key routes;
-            routes
-      in
-      let justify = side_routes `J back justify_routes in
-      let observe = side_routes `O fwd observe_routes in
-      core_test_of_routes ci ~justify ~observe)
-    soc.Soc.insts
-
 let build ?budget soc ~choice ?(smuxes = []) () =
   Obs.with_span ~cat:"core" "schedule.build" @@ fun () ->
   Obs.incr c_full_builds;
   let ccg = Ccg.build soc ~choice in
   let requested_cost = install_smuxes soc ccg smuxes in
-  let tests =
-    if budget = None && Cache.enabled () then
-      cached_core_tests soc ccg ~choice ~smuxes
-    else List.map (build_core_test ?budget ccg) soc.Soc.insts
-  in
+  let tests = List.map (build_core_test ?budget ccg) soc.Soc.insts in
   assemble soc ~choice ~n_requested:(List.length smuxes) ~requested_cost ccg
     tests
 

@@ -47,12 +47,16 @@ val build :
     once the fuel or deadline is gone, remaining cores are emitted with
     {e no} routes and zero vectors (their ATPG is skipped too) — a stub
     that [Resilient.plan] recognizes and degrades to the FSCAN-BSCAN
-    fallback.  Without a budget the behaviour is unchanged. *)
+    fallback.  Without a budget the behaviour is unchanged.
+
+    [build] reuses nothing: every core is routed afresh against a fresh
+    CCG, whatever result store is active.  It is the plain oracle the
+    memoized {!Select} paths are tested against. *)
 
 (** {2 Memoization seam}
 
     [build] is [Ccg.build] + requested-mux insertion + one
-    [build_core_test] per core + [assemble].  [Select.design_space]
+    [build_core_test] per core + [assemble].  [Select]'s route memo
     drives the pieces directly so per-core tests can be memoized across
     design points: a core's test only depends on the versions of the
     cores its access routes can traverse, so the same [core_test] value
@@ -63,60 +67,6 @@ val build :
     returned routes).  A result whose routes contain a forced mux — or one
     computed {e after} such a mutation within the same [ccg] — is specific
     to that build and must not be reused against a fresh CCG. *)
-
-val dependency_sets : Soc.t -> (string * string list * string list) list
-(** Per-core [(name, justify cone, observe cone)]: the cores whose
-    version choices can influence the core's justify/observe routes
-    (directed reachability over the core-to-core connection graph; a
-    core joins its own cone only via a connection cycle).  Two design
-    points agreeing on a core's cone yield bit-identical routes for
-    it — the soundness basis of both the Select route memo and the
-    persistent route cache. *)
-
-val has_forced_smux : Access.route list -> bool
-(** Whether any route carries a router-fallback mux ([r_added_smux]) —
-    the signal that the CCG was mutated and reuse is unsound. *)
-
-val relevant_smuxes :
-  side:[ `J | `O ] ->
-  name:string ->
-  cone:string list ->
-  smux_request list ->
-  smux_request list
-(** The requested system-level muxes that can touch the named core's
-    routing on the given side (an [`In] request matters only to justify
-    routes of its target's forward cone, dually for [`Out]); sorted, so
-    equal sets compare equal in memo keys. *)
-
-(** {2 Persistent route cache}
-
-    With a {!Socet_cache.Cache} store active and no budget, [build]
-    serves each core's per-side routes from the store under a content
-    key and stores clean computes — same clean-flag discipline as the
-    Select memo (nothing is read or written after a forced-mux CCG
-    mutation).  Keys are content-addressed so they survive process
-    restarts and core renames-free edits: see {!route_key}. *)
-
-val route_ns : string
-(** Namespace of persisted route sets (embeds the format version). *)
-
-val rtl_hashes : Soc.t -> (string * string) list
-(** [(instance, Soc.rtl_hash)] for every instance — precomputed once
-    per build/memo and threaded into {!route_key}. *)
-
-val route_key :
-  skeleton:string ->
-  rhash:(string * string) list ->
-  choice:(string * int) list ->
-  smuxes:smux_request list ->
-  side:[ `J | `O ] ->
-  cone:string list ->
-  string ->
-  string
-(** The persistent key for one core's one-side route set:
-    [Soc.skeleton_hash] (pins the CCG node-id space), the core's own
-    RTL hash, each cone member's (RTL hash, chosen version), and the
-    side-relevant requested muxes. *)
 
 val install_smuxes : Soc.t -> Ccg.t -> smux_request list -> int
 (** Insert the requested system-level test muxes as CCG edges (an [`In]

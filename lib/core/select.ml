@@ -1,7 +1,6 @@
 module Obs = Socet_obs.Obs
 module Budget = Socet_util.Budget
 module Pool = Socet_util.Pool
-module Cache = Socet_cache.Cache
 
 (* Observability: the iterative-improvement optimizer is measured in
    design points evaluated (each one a full schedule build) and in
@@ -34,9 +33,75 @@ let evaluate soc ~choice ?(smuxes = []) () =
     pt_time = s.Schedule.s_total_time;
   }
 
-(* The per-core dependency cones live in Schedule (shared with its
-   persistent-cache path); kept under their historical name here. *)
-let dependency_sets = Schedule.dependency_sets
+(* ------------------------------------------------------------------ *)
+(* Per-core dependency cones                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Which cores' version choices can influence core [X]'s test: routes
+   justifying X's inputs ride directed paths PI -> ... -> X.in, so only
+   cores with a directed path to X matter on the justify side; dually,
+   observation rides X.out -> ... -> PO, so only cores reachable from X
+   matter on the observe side.  Closing the core-to-core connection
+   graph gives static per-side dependency sets — two full choices
+   agreeing on X's justify (observe) set yield bit-identical justify
+   (observe) routes for X.  X itself only joins a set when it sits on a
+   connection cycle (a route could then re-enter its own transparency). *)
+let dependency_sets soc =
+  let preds = Hashtbl.create 16 and succs = Hashtbl.create 16 in
+  let push tbl k v =
+    let cur = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
+    if not (List.mem v cur) then Hashtbl.replace tbl k (v :: cur)
+  in
+  List.iter
+    (fun (c : Soc.connection) ->
+      match (c.Soc.c_from, c.Soc.c_to) with
+      | Soc.Cport (a, _), Soc.Cport (b, _) when a <> b ->
+          push preds b a;
+          push succs a b
+      | _ -> ())
+    soc.Soc.conns;
+  (* Proper reachability: [seed] is included only via a cycle back to
+     itself, not by fiat. *)
+  let reach tbl seed =
+    let seen = Hashtbl.create 8 in
+    let rec go n =
+      if not (Hashtbl.mem seen n) then begin
+        Hashtbl.add seen n ();
+        List.iter go (Option.value ~default:[] (Hashtbl.find_opt tbl n))
+      end
+    in
+    List.iter go (Option.value ~default:[] (Hashtbl.find_opt tbl seed));
+    seen
+  in
+  let names_in tbl =
+    List.filter_map
+      (fun ci ->
+        let n = ci.Soc.ci_name in
+        if Hashtbl.mem tbl n then Some n else None)
+      soc.Soc.insts
+  in
+  List.map
+    (fun ci ->
+      let name = ci.Soc.ci_name in
+      (name, names_in (reach preds name), names_in (reach succs name)))
+    soc.Soc.insts
+
+(* Whether a router fallback forced a system-level mux: the CCG was
+   mutated, so nothing routed from here on is a function of the key. *)
+let has_forced_smux routes =
+  List.exists (fun (r : Access.route) -> r.Access.r_added_smux <> None) routes
+
+(* The requested muxes that can touch [name]'s routing on [side], sorted
+   so equal sets compare equal in memo keys (see the key notes below). *)
+let relevant_smuxes ~side ~name ~cone smuxes =
+  List.sort compare
+    (List.filter
+       (fun (sm : Schedule.smux_request) ->
+         (match (side, sm.Schedule.sm_dir) with
+         | `J, `In | `O, `Out -> true
+         | `J, `Out | `O, `In -> false)
+         && (sm.Schedule.sm_inst = name || List.mem sm.Schedule.sm_inst cone))
+       smuxes)
 
 (* ------------------------------------------------------------------ *)
 (* Route memo with smux-request-aware keys                             *)
@@ -60,8 +125,8 @@ let dependency_sets = Schedule.dependency_sets
 
    Forced muxes (router fallbacks) mutate the CCG mid-evaluation; from
    the first one on, neither lookups nor stores are sound for the rest
-   of that evaluation ([clean] below), exactly as in the design-space
-   sweep. *)
+   of that evaluation ([clean] below).  This memo is the only place a
+   route is reused: [Schedule.build] routes every core afresh. *)
 type memo = {
   mm_soc : Soc.t;
   mm_deps : (string * string list * string list) list;
@@ -70,10 +135,6 @@ type memo = {
       Access.route list )
     Hashtbl.t;
   mm_mu : Mutex.t;
-  mm_skeleton : string;
-  mm_rhash : (string * string) list;
-      (** content identities for the persistent route cache; eager (not
-          lazy) because evaluations run on pool domains *)
 }
 
 let memo soc =
@@ -82,8 +143,6 @@ let memo soc =
     mm_deps = dependency_sets soc;
     mm_tbl = Hashtbl.create 64;
     mm_mu = Mutex.create ();
-    mm_skeleton = Soc.skeleton_hash soc;
-    mm_rhash = Schedule.rtl_hashes soc;
   }
 
 let memo_find m key =
@@ -96,8 +155,6 @@ let memo_store m key routes =
   Mutex.lock m.mm_mu;
   if not (Hashtbl.mem m.mm_tbl key) then Hashtbl.add m.mm_tbl key routes;
   Mutex.unlock m.mm_mu
-
-let has_forced_smux = Schedule.has_forced_smux
 
 (* One design-point evaluation through the memo: same pieces as
    [Schedule.build] ([Ccg.build] + [install_smuxes] + per-core routing +
@@ -119,41 +176,19 @@ let eval_with_memo ?(opt = false) m ~choice ~smuxes () =
         List.map
           (fun d -> (d, Option.value ~default:1 (List.assoc_opt d choice)))
           cone,
-        Schedule.relevant_smuxes ~side ~name ~cone smuxes )
-    in
-    let pkey () =
-      Schedule.route_key ~skeleton:m.mm_skeleton ~rhash:m.mm_rhash ~choice
-        ~smuxes ~side ~cone name
+        relevant_smuxes ~side ~name ~cone smuxes )
     in
     match (if !clean then memo_find m key else None) with
     | Some routes ->
         Obs.incr c_memo_hits;
         if opt then Obs.incr c_opt_memo_hits;
         routes
-    | None -> (
-        (* In-memory miss: the persistent store (when active) sees the
-           same key rebased onto content hashes, under the same clean
-           discipline. *)
-        match
-          if !clean && Cache.enabled () then
-            Cache.find ~ns:Schedule.route_ns ~key:(pkey ())
-          else None
-        with
-        | Some routes ->
-            (* No routing work done — not charged as a miss; seed the
-               in-memory memo so the rest of the sweep hits locally. *)
-            memo_store m key routes;
-            routes
-        | None ->
-            incr misses;
-            let routes = compute ccg name in
-            if has_forced_smux routes then clean := false
-            else if !clean then begin
-              memo_store m key routes;
-              if Cache.enabled () then
-                Cache.store ~ns:Schedule.route_ns ~key:(pkey ()) routes
-            end;
-            routes)
+    | None ->
+        incr misses;
+        let routes = compute ccg name in
+        if has_forced_smux routes then clean := false
+        else if !clean then memo_store m key routes;
+        routes
   in
   let tests =
     List.map
@@ -181,9 +216,6 @@ let eval_with_memo ?(opt = false) m ~choice ~smuxes () =
       pt_time = s.Schedule.s_total_time;
     },
     !misses )
-
-let evaluate_memo m ~choice ?(smuxes = []) () =
-  fst (eval_with_memo m ~choice ~smuxes ())
 
 let design_space soc =
   Obs.with_span ~cat:"core" "select.design_space" @@ fun () ->
@@ -236,7 +268,9 @@ let design_space soc =
       choices
   in
   let eval cs =
-    Pool.parallel_map_list ~chunk:1 (fun choice -> evaluate_memo m ~choice ()) cs
+    Pool.parallel_map_list ~chunk:1
+      (fun choice -> fst (eval_with_memo m ~choice ~smuxes:[] ()))
+      cs
   in
   let warm = eval (List.filter_map (fun (c, f) -> if f then Some c else None) tagged) in
   let rest = eval (List.filter_map (fun (c, f) -> if f then None else Some c) tagged) in

@@ -35,19 +35,9 @@ val evaluate :
     is reused only when no new mux could have shortened it; together
     with [Search.dijkstra_timed]'s deterministic tie-breaking, memoized
     evaluations are bit-identical to {!evaluate} (DESIGN.md §10 gives
-    the argument; the test_select golden suite enforces it). *)
-
-type memo
-(** A shared route-memo over one SOC.  Thread-safe: [design_space] fans
-    evaluations over the domain pool against one memo. *)
-
-val memo : Soc.t -> memo
-
-val evaluate_memo :
-  memo -> choice:(string * int) list -> ?smuxes:Schedule.smux_request list -> unit -> point
-(** Like {!evaluate} against the shared memo: per-core routes whose key
-    matches a previous evaluation are reused ([core.select.memo_hits])
-    instead of re-routed.  Bit-identical to {!evaluate}. *)
+    the argument; the test_select golden suite enforces it).  The memo
+    lives in memory for one sweep or one optimizer trajectory; it is
+    the only place a route is reused, and no result store keeps routes. *)
 
 val delta_tat : Soc.t -> point -> string -> (Version.t * int * int) option
 (** [(next_version, dTAT, dA)] for stepping the named core up one rung —
@@ -58,11 +48,12 @@ val design_space : Soc.t -> point list
 (** Every combination of available core versions (no extra muxes), in
     lexicographic order — the raw material of Fig. 10.
 
-    Evaluation fans out across the {!Socet_util.Pool} domains through a
-    shared {!memo}, so a core's routing is reused across the many points
-    that only differ elsewhere ([core.select.memo_hits] counts reuse).
-    Results are independent of the domain count and identical to
-    evaluating each choice with {!evaluate}. *)
+    Evaluation fans out across the {!Socet_util.Pool} domains through one
+    shared, mutex-guarded route memo, so a core's routing is reused
+    across the many points that only differ elsewhere
+    ([core.select.memo_hits] counts reuse).  Results are independent of
+    the domain count and identical to evaluating each choice with
+    {!evaluate}. *)
 
 val best_time_point : point list -> point
 (** Earliest minimum-TAT point of a trajectory (the best-so-far result
@@ -87,7 +78,7 @@ val minimize_time :
     budget's fuel.
 
     [use_memo] (default true) routes evaluations through a trajectory-
-    wide {!memo} ([core.select.opt_memo_hits]); [false] is the oracle
+    wide route memo ([core.select.opt_memo_hits]); [false] is the oracle
     path, one full [Schedule.build] per move — same points, more work. *)
 
 val minimize_area :

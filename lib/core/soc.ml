@@ -29,47 +29,23 @@ type t = {
   memories : memory list;
 }
 
-module Cache = Socet_cache.Cache
-
 (* ------------------------------------------------------------------ *)
 (* Content hashes (DESIGN.md §16)                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A core's identity for caching is its complete RTL rendering: ports,
-   registers and transfers in declaration order.  Everything instantiate
-   derives (RCG, HSCAN, versions, netlist, ATPG) is a pure function of
-   this text, so it is the one key under which per-core artifacts
-   persist. *)
+(* A core's RTL identity is its complete rendering: ports, registers and
+   transfers in declaration order.  Everything instantiate derives (RCG,
+   HSCAN, versions, netlist, ATPG) is a pure function of this text; it
+   enters [content_hash], the key of whole-design results. *)
 let core_hash core =
   Digest.to_hex (Digest.string (Format.asprintf "%a" Rtl_core.pp core))
 
 let rtl_hash ci = core_hash ci.ci_core
 
-(* The version ladder aliases RCG mux edges freshly inserted by
-   [Version.generate], so it cannot be reloaded from disk into a new
-   RCG.  Instead a plain-data determinism signature is cached: on a warm
-   run the ladder is regenerated (cheap) and checked against the stored
-   signature, so diff-test can report ladder reuse per core and a
-   drifting generator shows up as a mismatch instead of being trusted. *)
-let version_signature versions =
-  List.map
-    (fun v ->
-      ( v.Version.v_index,
-        v.Version.v_overhead,
-        List.map
-          (fun p -> (p.Version.pr_input, p.Version.pr_output, p.Version.pr_latency))
-          v.Version.v_pairs,
-        v.Version.v_added_muxes ))
-    versions
-
 let instantiate ?(atpg_seed = 42) ci_name core =
   let rcg = Rcg.of_core core in
   let hscan = Hscan.insert rcg in
   let versions = Version.generate rcg in
-  let signature = version_signature versions in
-  (match Cache.find ~ns:"versions1" ~key:(core_hash core) with
-  | Some s when s = signature -> ()
-  | Some _ | None -> Cache.store ~ns:"versions1" ~key:(core_hash core) signature);
   let netlist = Elaborate.core_to_netlist core in
   {
     ci_name;
@@ -212,9 +188,8 @@ let endpoint_str = function
 
 (* The SOC's wiring shape with cores as opaque boxes: everything that
    pins the CCG's node/edge enumeration order (chip pins, instance and
-   port order, connection order) without looking inside any core.  Route
-   entries key on this plus the cone's RTL hashes, so an edit to one
-   core leaves routes through the *other* cores' cones valid. *)
+   port order, connection order) without looking inside any core.  The
+   first component of [content_hash]. *)
 let skeleton_hash soc =
   let b = Buffer.create 512 in
   Buffer.add_string b "socet-skeleton-v1\n";

@@ -42,7 +42,8 @@ type t = {
 
 val instantiate : ?atpg_seed:int -> string -> Rtl_core.t -> core_inst
 (** Elaborates the core, inserts HSCAN, generates the version ladder and
-    prepares the (lazy) ATPG run. *)
+    prepares the (lazy) ATPG run.  Nothing here touches the result
+    cache; only the ATPG run, when forced, goes through it. *)
 
 val make :
   name:string ->
@@ -83,19 +84,19 @@ val driver_of : t -> string -> string -> endpoint_ref option
 (** {2 Content hashes}
 
     Canonical identities for the persistent result cache (DESIGN.md
-    §16).  All are hex MD5 strings over deterministic renderings. *)
+    §16), which keys whole-design TAM schedules by {!content_hash}.
+    All are hex MD5 strings over deterministic renderings. *)
 
 val core_hash : Rtl_core.t -> string
 (** Identity of a core's complete RTL (ports, registers, transfers in
-    declaration order) — the key for per-core cached artifacts. *)
+    declaration order) — one component of {!content_hash}. *)
 
 val rtl_hash : core_inst -> string
 (** [core_hash] of the instance's core. *)
 
 val skeleton_hash : t -> string
 (** The SOC's wiring shape with cores opaque: chip pins, instance/port
-    order, connections, memories.  Pins the CCG node-id space without
-    depending on core internals. *)
+    order, connections, memories — one component of {!content_hash}. *)
 
 val netlist_hash : core_inst -> string
 (** {!Socet_netlist.Structhash.netlist} of the instance's elaborated

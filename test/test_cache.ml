@@ -258,52 +258,90 @@ let test_warm_fleet_byte_identical () =
   let hits = List.fold_left (fun acc (_, h, _) -> acc + h) 0 (Cache.scoreboard ()) in
   check "warm run actually hit the cache" true (hits > 0)
 
+(* What a plan yields, as plain data: the default-choice schedule's
+   per-core figures and the minimize_time trajectory's points. *)
+let plan_sig soc =
+  let module Schedule = Socet_core.Schedule in
+  let module Select = Socet_core.Select in
+  let choice = List.map (fun ci -> (ci.Soc.ci_name, 1)) soc.Soc.insts in
+  let s = Schedule.build soc ~choice () in
+  ignore (Socet_tam.Schedule.build soc);
+  let tests =
+    List.map
+      (fun t ->
+        Schedule.(t.ct_inst, t.ct_vectors, t.ct_period, t.ct_tail, t.ct_time))
+      s.Schedule.s_tests
+  in
+  let points =
+    List.map
+      (fun p ->
+        ( p.Select.pt_choice,
+          List.map
+            (fun m -> Schedule.(m.sm_inst, m.sm_port, m.sm_dir))
+            p.Select.pt_smuxes,
+          p.Select.pt_area,
+          p.Select.pt_time ))
+      (Select.minimize_time soc ~max_area:10_000)
+  in
+  (s.Schedule.s_area_overhead, tests, points)
+
 let test_incremental_blast_radius () =
   (* Edit one core of a two-core SOC: its ATPG and the TAM schedule
-     recompute; every access route and version ladder is reused. *)
+     recompute, the other core's ATPG is reused.  Routes are reused only
+     by Select's in-memory memo, so the store holds nothing else and a
+     store changes no planned point. *)
   let gen () = Socet_cores.Gen.random_soc ~cores:2 ~hetero:true (Rng.create 11) in
-  let plan soc =
-    let choice = List.map (fun ci -> (ci.Soc.ci_name, 1)) soc.Soc.insts in
-    ignore (Socet_core.Schedule.build soc ~choice ());
-    ignore (Socet_tam.Schedule.build soc)
-  in
+  let bare = Cache.with_store None (fun () -> plan_sig (gen ())) in
   with_fresh_store @@ fun _dir s ->
   Cache.with_store (Some s) @@ fun () ->
-  plan (gen ());
+  let namespaces = ref [] in
+  (* The SOC is generated after the reset, so lookups made while
+     instantiating its cores are tallied with the pass. *)
+  let pass make_soc =
+    Cache.reset_scoreboard ();
+    let sg = plan_sig (make_soc ()) in
+    let board = Cache.scoreboard () in
+    namespaces := List.map (fun (ns, _, _) -> ns) board @ !namespaces;
+    (sg, board)
+  in
+  let cold, _ = pass gen in
+  check "cold store run plans the same points as no store" true (cold = bare);
   (* Warm replay: no recomputation at all. *)
-  Cache.reset_scoreboard ();
-  plan (gen ());
+  let warm, board = pass gen in
+  check "warm store run plans the same points as no store" true (warm = bare);
   List.iter
     (fun (ns, _, misses) -> check_int ("warm misses in " ^ ns) 0 misses)
-    (Cache.scoreboard ());
+    board;
   (* Edited replay. *)
-  Cache.reset_scoreboard ();
-  let soc = gen () in
-  (match soc.Soc.insts with
-  | ci :: _ -> (
-      let nl = ci.Soc.ci_netlist in
-      match Netlist.pos nl with
-      | (po, net) :: _ ->
-          let a = Netlist.add_gate nl Cell.Inv [| net |] in
-          let b = Netlist.add_gate nl Cell.Inv [| a |] in
-          Netlist.replace_po nl po b
-      | [] -> Alcotest.fail "core has no PO")
-  | [] -> Alcotest.fail "SOC has no cores");
-  plan soc;
+  let edited () =
+    let soc = gen () in
+    (match soc.Soc.insts with
+    | ci :: _ -> (
+        let nl = ci.Soc.ci_netlist in
+        match Netlist.pos nl with
+        | (po, net) :: _ ->
+            let a = Netlist.add_gate nl Cell.Inv [| net |] in
+            let b = Netlist.add_gate nl Cell.Inv [| a |] in
+            Netlist.replace_po nl po b
+        | [] -> Alcotest.fail "core has no PO")
+    | [] -> Alcotest.fail "SOC has no cores");
+    soc
+  in
+  let _, board = pass edited in
   let tally ns =
-    match List.find_opt (fun (n, _, _) -> n = ns) (Cache.scoreboard ()) with
+    match List.find_opt (fun (n, _, _) -> n = ns) board with
     | Some (_, h, m) -> (h, m)
     | None -> (0, 0)
   in
   let ph, pm = tally "podem1" in
   check_int "only the edited core's ATPG recomputes" 1 pm;
   check_int "the other core's ATPG is reused" 1 ph;
-  let _, rm = tally "routes1" in
-  check_int "no route recomputes (netlist edit leaves RTL alone)" 0 rm;
-  let _, vm = tally "versions1" in
-  check_int "no version ladder recomputes" 0 vm;
   let _, tm = tally "tamsched1" in
-  check_int "the TAM schedule recomputes (test sets changed)" 1 tm
+  check_int "the TAM schedule recomputes (test sets changed)" 1 tm;
+  Alcotest.(check (list string))
+    "engines use exactly the podem1 and tamsched1 namespaces"
+    [ "podem1"; "tamsched1" ]
+    (List.sort_uniq compare !namespaces)
 
 let () =
   Alcotest.run "cache"
