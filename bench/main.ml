@@ -618,14 +618,36 @@ let resilience_section () =
   show "recovered (chaos off)" (Resilient.plan soc1 ~choice:(all_v1 soc1) ())
 
 (* ------------------------------------------------------------------ *)
-(* Optimizer: memoized vs oracle iterative improvement                 *)
+(* Engine sections                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* (system, [(mode, (wall_ms, steps, full_builds, memo_hits))]) —
-   stashed for the BENCH_socet.json "optimizer" section. *)
-let optimizer_results :
-    (string * (string * (float * int * int * int)) list) list ref =
-  ref []
+(* From here on each section prints its table and returns its
+   [(key, value)] entry of BENCH_socet.json. *)
+
+let int n = Json.Num (float_of_int n)
+let flag b = Json.Num (if b then 1.0 else 0.0)
+
+(* Best of three wall-clock runs of [f], in seconds, with the last
+   result. *)
+let time_best f =
+  let best = ref infinity and last = ref None in
+  for _ = 1 to 3 do
+    let t0 = Unix.gettimeofday () in
+    last := Some (f ());
+    best := min !best (Unix.gettimeofday () -. t0)
+  done;
+  (!best, Option.get !last)
+
+(* The library exporter's metrics snapshot ({counters, gauges, timers,
+   histograms}) as JSON fields. *)
+let obs_snapshot () =
+  match Json.of_string (Obs.stats_json ()) with
+  | Ok (Json.Obj fields) -> fields
+  | Ok _ | Error _ -> failwith "Obs.stats_json did not export a JSON object"
+
+(* ------------------------------------------------------------------ *)
+(* Optimizer: memoized vs oracle iterative improvement                 *)
+(* ------------------------------------------------------------------ *)
 
 let optimizer_section () =
   section "Optimizer: memoized vs oracle minimize_time (max_area 600)";
@@ -644,51 +666,57 @@ let optimizer_section () =
       delta "core.schedule.full_builds",
       delta "core.select.opt_memo_hits" )
   in
-  let rows =
-    List.concat_map
+  let results =
+    List.map
       (fun soc ->
-        List.map
-          (fun (mode, use_memo) ->
-            let ((wall_ms, steps, full_builds, memo_hits) as r) =
-              run soc ~use_memo
-            in
-            (match
-               List.assoc_opt soc.Soc.soc_name !optimizer_results
-             with
-            | Some modes ->
-                optimizer_results :=
-                  (soc.Soc.soc_name, (mode, r) :: modes)
-                  :: List.remove_assoc soc.Soc.soc_name !optimizer_results
-            | None ->
-                optimizer_results :=
-                  (soc.Soc.soc_name, [ (mode, r) ]) :: !optimizer_results);
-            [
-              soc.Soc.soc_name;
-              mode;
-              Printf.sprintf "%.1f" wall_ms;
-              string_of_int steps;
-              string_of_int full_builds;
-              string_of_int memo_hits;
-            ])
-          [ ("memoized", true); ("oracle", false) ])
+        ( soc.Soc.soc_name,
+          List.map
+            (fun (mode, use_memo) -> (mode, run soc ~use_memo))
+            [ ("memoized", true); ("oracle", false) ] ))
       [ soc1; soc2 ]
   in
   Ascii_table.print
     ~header:
       [ "system"; "mode"; "wall (ms)"; "opt steps"; "full builds"; "memo hits" ]
-    rows;
+    (List.concat_map
+       (fun (system, modes) ->
+         List.map
+           (fun (mode, (wall_ms, steps, full_builds, memo_hits)) ->
+             [
+               system;
+               mode;
+               Printf.sprintf "%.1f" wall_ms;
+               string_of_int steps;
+               string_of_int full_builds;
+               string_of_int memo_hits;
+             ])
+           modes)
+       results);
   Printf.printf
     "Same trajectories either way (test_select enforces bit-identity); the \
-     memo replaces full schedule builds with per-core route reuse.\n"
+     memo replaces full schedule builds with per-core route reuse.\n";
+  ( "optimizer",
+    Json.Obj
+      (List.map
+         (fun (system, modes) ->
+           ( system,
+             Json.Obj
+               (List.map
+                  (fun (mode, (wall_ms, steps, full_builds, memo_hits)) ->
+                    ( mode,
+                      Json.Obj
+                        [
+                          ("wall_ms", Json.Num wall_ms);
+                          ("steps", int steps);
+                          ("full_builds", int full_builds);
+                          ("memo_hits", int memo_hits);
+                        ] ))
+                  modes) ))
+         results) )
 
 (* ------------------------------------------------------------------ *)
 (* Parallel scaling: domain-pool sweep                                 *)
 (* ------------------------------------------------------------------ *)
-
-(* (engine, ([(domains, best seconds)], byte-identical across domain
-   counts)) — stashed for the BENCH_socet.json "parallel" section the CI
-   scaling gate reads. *)
-let parallel_results : (string * ((int * float) list * bool)) list ref = ref []
 
 (* Cheapest domain count actually measured for this workload — the
    per-engine recommendation the JSON carries (on a 1-core runner this
@@ -704,17 +732,7 @@ let parallel_section () =
   (* Each engine thunk returns a digest of its full result, so the sweep
      checks the determinism contract (byte-identical at any domain
      count) on the exact workloads it times. *)
-  let time_best f =
-    let best = ref infinity in
-    let digest = ref "" in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      digest := f ();
-      best := min !best (Unix.gettimeofday () -. t0)
-    done;
-    (!best, !digest)
-  in
-  let sweep name f =
+  let sweep f =
     let runs =
       List.map
         (fun d ->
@@ -724,14 +742,12 @@ let parallel_section () =
         [ 1; 2; 4 ]
     in
     Pool.set_size 1;
-    let times = List.map fst runs in
     let identical =
       match runs with
       | (_, first) :: rest -> List.for_all (fun (_, dg) -> dg = first) rest
       | [] -> true
     in
-    parallel_results := (name, (times, identical)) :: !parallel_results;
-    (times, identical)
+    (List.map fst runs, identical)
   in
   let cpu = Soc.inst soc1 "CPU" in
   let nl = cpu.Soc.ci_netlist in
@@ -747,17 +763,19 @@ let parallel_section () =
         (f.Socet_atpg.Fault.f_net, f.Socet_atpg.Fault.f_stuck))
       fs
   in
-  let rows =
+  let design_space soc () =
+    digest_of
+      (List.map
+         (fun (p : Select.point) ->
+           ( p.Select.pt_choice,
+             p.Select.pt_area,
+             p.Select.pt_time,
+             p.Select.pt_schedule.Schedule.s_total_time ))
+         (Select.design_space soc))
+  in
+  let results =
     List.map
-      (fun (name, f) ->
-        let times, identical = sweep name f in
-        let t1 = List.assoc 1 times in
-        (name
-        :: List.map (fun (_, t) -> Printf.sprintf "%.1f" (t *. 1000.0)) times)
-        @ [
-            Printf.sprintf "%.2fx" (t1 /. List.assoc 4 times);
-            (if identical then "yes" else "NO");
-          ])
+      (fun (name, f) -> (name, sweep f))
       [
         ( "fsim CPU (64 vec, full fault list)",
           fun () ->
@@ -770,65 +788,70 @@ let parallel_section () =
                 fault_sig s.Socet_atpg.Podem.detected,
                 fault_sig s.Socet_atpg.Podem.redundant,
                 fault_sig s.Socet_atpg.Podem.aborted ) );
-        ( "design space System 1",
-          fun () ->
-            digest_of
-              (List.map
-                 (fun (p : Select.point) ->
-                   ( p.Select.pt_choice,
-                     p.Select.pt_area,
-                     p.Select.pt_time,
-                     p.Select.pt_schedule.Schedule.s_total_time ))
-                 (Select.design_space soc1)) );
-        ( "design space System 2",
-          fun () ->
-            digest_of
-              (List.map
-                 (fun (p : Select.point) ->
-                   ( p.Select.pt_choice,
-                     p.Select.pt_area,
-                     p.Select.pt_time,
-                     p.Select.pt_schedule.Schedule.s_total_time ))
-                 (Select.design_space soc2)) );
+        ("design space System 1", design_space soc1);
+        ("design space System 2", design_space soc2);
       ]
   in
+  let speedup_4 times = List.assoc 1 times /. List.assoc 4 times in
   Ascii_table.print
     ~header:
       [
         "engine"; "1 dom (ms)"; "2 dom (ms)"; "4 dom (ms)"; "speedup@4";
         "identical";
       ]
-    rows;
+    (List.map
+       (fun (name, (times, identical)) ->
+         (name
+         :: List.map (fun (_, t) -> Printf.sprintf "%.1f" (t *. 1000.0)) times)
+         @ [
+             Printf.sprintf "%.2fx" (speedup_4 times);
+             (if identical then "yes" else "NO");
+           ])
+       results);
   Printf.printf
     "(identical = result digests match across 1/2/4 domains; this machine\n\
      has %d hardware domains)\n"
-    (Domain.recommended_domain_count ())
+    (Domain.recommended_domain_count ());
+  (* Overall recommendation: the domain count with the lowest summed wall
+     time across the swept engines, recomputed from this run's
+     measurements — not a pinned hardware guess.  hw_domains is what the
+     machine offers; the CI speedup gates only apply when it is high
+     enough to scale. *)
+  let summed =
+    List.fold_left
+      (fun acc (_, (times, _)) ->
+        List.map (fun (d, t) -> (d, t +. List.assoc d times)) acc)
+      [ (1, 0.0); (2, 0.0); (4, 0.0) ]
+      results
+  in
+  ( "parallel",
+    Json.Obj
+      (("hw_domains", int (Domain.recommended_domain_count ()))
+      :: ("recommended_domains", int (argmin_domains summed))
+      :: List.map
+           (fun (name, (times, identical)) ->
+             ( name,
+               Json.Obj
+                 (List.map
+                    (fun (d, t) ->
+                      (Printf.sprintf "ms_%d_domains" d, Json.Num (t *. 1000.0)))
+                    times
+                 @ [
+                     ("speedup_4", Json.Num (speedup_4 times));
+                     ("recommended_domains", int (argmin_domains times));
+                     ("byte_identical", flag identical);
+                   ]) ))
+           results) )
 
 (* ------------------------------------------------------------------ *)
 (* Fault-simulation kernel: flat vs legacy engine                      *)
 (* ------------------------------------------------------------------ *)
-
-(* [(engine, (wall_ms, evals_per_s))] plus the measured speedup and the
-   byte-identity check — stashed for the BENCH_socet.json "fsim_kernel"
-   section. *)
-let fsim_kernel_results : (string * (float * float)) list ref = ref []
-let fsim_kernel_speedup = ref 0.0
-let fsim_kernel_identical = ref false
 
 let fsim_kernel_section () =
   section "Fault-simulation kernel: flat struct-of-arrays vs legacy engine";
   Pool.set_size 1;
   let counter name =
     Option.value ~default:0 (List.assoc_opt name (Obs.snapshot_counters ()))
-  in
-  let time_best f =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      best := min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
   in
   let cpu = Soc.inst soc1 "CPU" in
   let nl = cpu.Soc.ci_netlist in
@@ -844,22 +867,21 @@ let fsim_kernel_section () =
   let flat_det = Socet_atpg.Fsim.run_comb nl ~vectors:vecs ~faults in
   let evals = counter "atpg.fsim.fault_evals" - e0 in
   let legacy_det = Socet_atpg.Fsim.run_comb_ref nl ~vectors:vecs ~faults in
-  fsim_kernel_identical := flat_det = legacy_det;
-  let t_flat =
-    time_best (fun () ->
-        ignore (Socet_atpg.Fsim.run_comb nl ~vectors:vecs ~faults))
+  let identical = flat_det = legacy_det in
+  let t_flat, _ =
+    time_best (fun () -> Socet_atpg.Fsim.run_comb nl ~vectors:vecs ~faults)
   in
-  let t_legacy =
-    time_best (fun () ->
-        ignore (Socet_atpg.Fsim.run_comb_ref nl ~vectors:vecs ~faults))
+  let t_legacy, _ =
+    time_best (fun () -> Socet_atpg.Fsim.run_comb_ref nl ~vectors:vecs ~faults)
   in
   let per_s t = float_of_int evals /. t in
-  fsim_kernel_results :=
+  let engines =
     [
       ("flat", (t_flat *. 1000.0, per_s t_flat));
       ("legacy", (t_legacy *. 1000.0, per_s t_legacy));
-    ];
-  fsim_kernel_speedup := t_legacy /. t_flat;
+    ]
+  in
+  let speedup = t_legacy /. t_flat in
   Ascii_table.print
     ~header:[ "engine"; "fault evals"; "wall (ms)"; "evals/s" ]
     (List.map
@@ -870,10 +892,10 @@ let fsim_kernel_section () =
            Printf.sprintf "%.2f" ms;
            Printf.sprintf "%.0f" eps;
          ])
-       !fsim_kernel_results);
+       engines);
   Printf.printf "kernel speedup (single domain): %.1fx; detected lists %s\n"
-    !fsim_kernel_speedup
-    (if !fsim_kernel_identical then "byte-identical" else "DIFFER (BUG)");
+    speedup
+    (if identical then "byte-identical" else "DIFFER (BUG)");
   (match List.assoc_opt "atpg.fsim.cone_gates" (Obs.snapshot_histograms ()) with
   | Some s ->
       Printf.printf
@@ -883,101 +905,157 @@ let fsim_kernel_section () =
         s.Socet_obs.Histogram.s_p50 s.Socet_obs.Histogram.s_p90
         s.Socet_obs.Histogram.s_p99 s.Socet_obs.Histogram.s_max
   | None -> ());
-  if not !fsim_kernel_identical then
-    failwith "flat kernel diverged from the legacy engine"
+  if not identical then failwith "flat kernel diverged from the legacy engine";
+  let cone_gates =
+    Option.bind
+      (List.assoc_opt "histograms" (obs_snapshot ()))
+      (Json.member "atpg.fsim.cone_gates")
+  in
+  ( "fsim_kernel",
+    Json.Obj
+      (List.map
+         (fun (name, (ms, eps)) ->
+           ( name,
+             Json.Obj [ ("wall_ms", Json.Num ms); ("evals_per_s", Json.Num eps) ]
+           ))
+         engines
+      @ [ ("speedup", Json.Num speedup); ("byte_identical", flag identical) ]
+      @ Option.fold ~none:[] ~some:(fun h -> [ ("cone_gates", h) ]) cone_gates)
+  )
 
 (* ------------------------------------------------------------------ *)
 (* Job server: throughput/latency through the wire protocol            *)
 (* ------------------------------------------------------------------ *)
 
-(* (domains, (jobs/s, p50 ms, p99 ms)) — stashed for BENCH_socet.json. *)
-let serve_results : (int * (float * float * float)) list ref = ref []
+module Serve = Socet_serve
 
-let serve_section () =
+type load = {
+  l_jobs : int;
+  l_done : int;  (** jobs answered Ok with exit code 0 *)
+  l_jobs_per_s : float;
+  l_p50_ms : float;
+  l_p99_ms : float;
+}
+
+(* Closed-loop load: [clients] threads, each on its own connection, send
+   [reqs] back to back.  A job counts as done only on an Ok reply with
+   exit code 0; a client that cannot connect fails all of its jobs. *)
+let closed_loop ~socket ~clients reqs =
+  let per_client = List.length reqs in
+  let n = clients * per_client in
+  let lat = Array.make n 0.0 in
+  let completed = Atomic.make 0 in
+  let t0 = Unix.gettimeofday () in
+  let threads =
+    List.init clients (fun ci ->
+        Thread.create
+          (fun () ->
+            match Serve.Client.connect socket with
+            | Error _ -> ()
+            | Ok c ->
+                List.iteri
+                  (fun i req ->
+                    let s = Unix.gettimeofday () in
+                    (match Serve.Client.request c req with
+                    | Ok r when r.Serve.Client.r_code = 0 -> Atomic.incr completed
+                    | Ok _ | Error _ -> ());
+                    lat.((ci * per_client) + i) <-
+                      (Unix.gettimeofday () -. s) *. 1000.0)
+                  reqs;
+                Serve.Client.close c)
+          ())
+  in
+  List.iter Thread.join threads;
+  let wall = Unix.gettimeofday () -. t0 in
+  Array.sort compare lat;
+  let quantile q = lat.(min (n - 1) (int_of_float (q *. float_of_int (n - 1)))) in
+  {
+    l_jobs = n;
+    l_done = Atomic.get completed;
+    l_jobs_per_s = float_of_int n /. wall;
+    l_p50_ms = quantile 0.5;
+    l_p99_ms = quantile 0.99;
+  }
+
+let require_all label l =
+  if l.l_done < l.l_jobs then
+    failwith
+      (Printf.sprintf "%s: %d of %d jobs failed" label (l.l_jobs - l.l_done)
+         l.l_jobs)
+
+let explore_req system =
+  Serve.Proto.make
+    (Serve.Proto.Explore
+       {
+         Serve.Proto.ex_system = system;
+         ex_objective = Serve.Proto.Min_time;
+         ex_max_area = 500;
+         ex_max_time = 5000;
+         ex_search_budget = None;
+         ex_no_memo = false;
+       })
+
+(* One row of the serve tables, and its JSON entry. *)
+let load_row key l =
+  [
+    string_of_int key;
+    string_of_int l.l_jobs;
+    Printf.sprintf "%.1f" l.l_jobs_per_s;
+    Printf.sprintf "%.1f" l.l_p50_ms;
+    Printf.sprintf "%.1f" l.l_p99_ms;
+  ]
+
+let load_json l =
+  Json.Obj
+    [
+      ("jobs_per_s", Json.Num l.l_jobs_per_s);
+      ("p50_ms", Json.Num l.l_p50_ms);
+      ("p99_ms", Json.Num l.l_p99_ms);
+    ]
+
+(* [fleet] is the supervised-fleet section's entry, nested under
+   "serve". *)
+let serve_section ~fleet =
   section "Job server: explore jobs through the wire protocol (in-process)";
-  let module Serve = Socet_serve in
   let socket =
     Filename.concat (Filename.get_temp_dir_name ()) "socet-bench.sock"
   in
   let srv = Serve.Server.start ~queue_depth:64 ~socket () in
-  let req =
-    Serve.Proto.make
-      (Serve.Proto.Explore
-         {
-           Serve.Proto.ex_system = "system1";
-           ex_objective = Serve.Proto.Min_time;
-           ex_max_area = 500;
-           ex_max_time = 5000;
-           ex_search_budget = None;
-           ex_no_memo = false;
-         })
+  let clients = 4 in
+  let reqs = List.init 4 (fun _ -> explore_req "system1") in
+  let runs =
+    List.map
+      (fun domains ->
+        Pool.set_size domains;
+        let l = closed_loop ~socket ~clients reqs in
+        require_all "serve" l;
+        (domains, l))
+      [ 1; 4 ]
   in
-  let clients = 4 and per_client = 4 in
-  let run_at domains =
-    Pool.set_size domains;
-    let lat = Array.make (clients * per_client) 0.0 in
-    let t0 = Unix.gettimeofday () in
-    let threads =
-      List.init clients (fun ci ->
-          Thread.create
-            (fun () ->
-              match Serve.Client.connect socket with
-              | Error _ -> ()
-              | Ok c ->
-                  for i = 0 to per_client - 1 do
-                    let s = Unix.gettimeofday () in
-                    (match Serve.Client.request c req with
-                    | Ok _ | Error _ -> ());
-                    lat.((ci * per_client) + i) <-
-                      (Unix.gettimeofday () -. s) *. 1000.0
-                  done;
-                  Serve.Client.close c)
-            ())
-    in
-    List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. t0 in
-    Array.sort compare lat;
-    let n = Array.length lat in
-    let quantile q = lat.(min (n - 1) (int_of_float (q *. float_of_int (n - 1)))) in
-    let jobs_s = float_of_int n /. wall in
-    let p50 = quantile 0.5 and p99 = quantile 0.99 in
-    serve_results := (domains, (jobs_s, p50, p99)) :: !serve_results;
-    [
-      string_of_int domains;
-      string_of_int n;
-      Printf.sprintf "%.1f" jobs_s;
-      Printf.sprintf "%.1f" p50;
-      Printf.sprintf "%.1f" p99;
-    ]
-  in
-  let rows = List.map run_at [ 1; 4 ] in
   Pool.set_size 1;
   Serve.Server.shutdown srv;
   ignore (Serve.Server.wait srv);
   Ascii_table.print
     ~header:[ "domains"; "jobs"; "jobs/s"; "p50 ms"; "p99 ms" ]
-    rows;
+    (List.map (fun (d, l) -> load_row d l) runs);
   Printf.printf
     "(%d concurrent clients, FIFO queue, responses byte-identical to the\n\
      direct CLI; per-job parallelism comes from the domain pool)\n"
-    clients
+    clients;
+  ( "serve",
+    Json.Obj
+      (List.map (fun (d, l) -> (Printf.sprintf "%d_domains" d, load_json l)) runs
+      @ [ ("fleet", fleet) ]) )
 
 (* ------------------------------------------------------------------ *)
 (* Job server: supervised worker fleet                                 *)
 (* ------------------------------------------------------------------ *)
-
-(* (workers, (jobs/s, p50 ms, p99 ms)) and the availability-under-crash
-   summary (jobs, injected kills, completed, retries) — stashed for the
-   BENCH_socet.json "serve.fleet" section. *)
-let serve_fleet_results : (int * (float * float * float)) list ref = ref []
-let serve_fleet_availability : (int * int * int * int) option ref = ref None
 
 (* Must run before any section that sizes the domain pool above 1:
    OCaml forbids fork in a process that has ever spawned a domain, and
    the fleet fork+execs its workers. *)
 let serve_fleet_section () =
   section "Job server: supervised worker fleet (fork+exec isolation)";
-  let module Serve = Socet_serve in
   Pool.set_size 1;
   let socket =
     Filename.concat (Filename.get_temp_dir_name ()) "socet-bench-fleet.sock"
@@ -985,47 +1063,8 @@ let serve_fleet_section () =
   (* System 2: each worker process (and each respawn) pays a cold
      search, so the cheaper system keeps the section's wall time about
      the fleet machinery rather than the optimizer. *)
-  let req =
-    Serve.Proto.make
-      (Serve.Proto.Explore
-         {
-           Serve.Proto.ex_system = "system2";
-           ex_objective = Serve.Proto.Min_time;
-           ex_max_area = 500;
-           ex_max_time = 5000;
-           ex_search_budget = None;
-           ex_no_memo = false;
-         })
-  in
-  let clients = 2 and per_client = 4 in
   let measure () =
-    let lat = Array.make (clients * per_client) 0.0 in
-    let failures = Atomic.make 0 in
-    let t0 = Unix.gettimeofday () in
-    let threads =
-      List.init clients (fun ci ->
-          Thread.create
-            (fun () ->
-              match Serve.Client.connect socket with
-              | Error _ -> ignore (Atomic.fetch_and_add failures per_client)
-              | Ok c ->
-                  for i = 0 to per_client - 1 do
-                    let s = Unix.gettimeofday () in
-                    (match Serve.Client.request c req with
-                    | Ok r when r.Serve.Client.r_code = 0 -> ()
-                    | Ok _ | Error _ -> ignore (Atomic.fetch_and_add failures 1));
-                    lat.((ci * per_client) + i) <-
-                      (Unix.gettimeofday () -. s) *. 1000.0
-                  done;
-                  Serve.Client.close c)
-            ())
-    in
-    List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. t0 in
-    Array.sort compare lat;
-    let n = Array.length lat in
-    let quantile q = lat.(min (n - 1) (int_of_float (q *. float_of_int (n - 1)))) in
-    (n, float_of_int n /. wall, quantile 0.5, quantile 0.99, Atomic.get failures)
+    closed_loop ~socket ~clients:2 (List.init 4 (fun _ -> explore_req "system2"))
   in
   (* max_retries >= the chaos trip budget below, so even every kill
      landing on one job stays within its retry budget. *)
@@ -1037,58 +1076,60 @@ let serve_fleet_section () =
         ignore (Serve.Server.wait srv))
       f
   in
-  let rows =
+  let runs =
     List.map
       (fun workers ->
         with_fleet workers (fun () ->
-            let n, jobs_s, p50, p99, _ = measure () in
-            serve_fleet_results := (workers, (jobs_s, p50, p99)) :: !serve_fleet_results;
-            [
-              string_of_int workers;
-              string_of_int n;
-              Printf.sprintf "%.1f" jobs_s;
-              Printf.sprintf "%.1f" p50;
-              Printf.sprintf "%.1f" p99;
-            ]))
+            let l = measure () in
+            require_all "serve fleet" l;
+            (workers, l)))
       [ 1; 4 ]
   in
   Ascii_table.print
     ~header:[ "workers"; "jobs"; "jobs/s"; "p50 ms"; "p99 ms" ]
-    rows;
+    (List.map (fun (w, l) -> load_row w l) runs);
   (* Availability under injected crashes: SIGKILL the dispatched worker
      for the first [kills] jobs; every job must still settle Ok. *)
   let kills = 3 in
   Socet_util.Chaos.configure ~prob:1.0 ~only:[ "serve.worker.kill" ] ~max_trips:kills
     true;
-  Fun.protect ~finally:(fun () -> Socet_util.Chaos.configure false) (fun () ->
-      with_fleet 2 (fun () ->
-          let n, _, _, _, failures = measure () in
-          let retries =
-            match Serve.Client.connect socket with
-            | Error _ -> 0
-            | Ok c ->
-                Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
-                    match Serve.Client.request c (Serve.Proto.make Serve.Proto.Health) with
-                    | Ok r -> (
-                        match Serve.Proto.decode_health (String.trim r.Serve.Client.r_stdout) with
-                        | Ok h -> h.Serve.Proto.hl_retries
-                        | Error _ -> 0)
-                    | Error _ -> 0)
-          in
-          serve_fleet_availability := Some (n, kills, n - failures, retries);
-          Printf.printf
-            "availability under crash: %d/%d jobs completed with %d injected \
-             worker kills (%d retried)\n"
-            (n - failures) n kills retries))
+  let availability =
+    Fun.protect ~finally:(fun () -> Socet_util.Chaos.configure false) (fun () ->
+        with_fleet 2 (fun () ->
+            let l = measure () in
+            let retries =
+              match Serve.Client.connect socket with
+              | Error _ -> 0
+              | Ok c ->
+                  Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+                      match Serve.Client.request c (Serve.Proto.make Serve.Proto.Health) with
+                      | Ok r -> (
+                          match Serve.Proto.decode_health (String.trim r.Serve.Client.r_stdout) with
+                          | Ok h -> h.Serve.Proto.hl_retries
+                          | Error _ -> 0)
+                      | Error _ -> 0)
+            in
+            Printf.printf
+              "availability under crash: %d/%d jobs completed with %d injected \
+               worker kills (%d retried)\n"
+              l.l_done l.l_jobs kills retries;
+            Json.Obj
+              [
+                ("jobs", int l.l_jobs);
+                ("injected_kills", int kills);
+                ("completed", int l.l_done);
+                ( "availability",
+                  Json.Num (float_of_int l.l_done /. float_of_int (max 1 l.l_jobs)) );
+                ("retries", int retries);
+              ]))
+  in
+  Json.Obj
+    (List.map (fun (w, l) -> (Printf.sprintf "%d_workers" w, load_json l)) runs
+    @ [ ("availability_under_crash", availability) ])
 
 (* ------------------------------------------------------------------ *)
 (* Wrapper/TAM backend vs the paper's CCG flow                         *)
 (* ------------------------------------------------------------------ *)
-
-(* (label, (ccg TAT, ccg area, tam TAT, tam area)) for Systems 1-2, plus
-   the fleet summary — stashed for the BENCH_socet.json "tam" section. *)
-let tam_system_results : (string * (int * int * int * int)) list ref = ref []
-let tam_fleet_summary : Socet_tam.Fleet.summary option ref = ref None
 
 let tam_fleet_count = 120
 let tam_fleet_seed = 2026
@@ -1104,25 +1145,25 @@ let tam_section () =
     in
     (get (module B.Ccg_backend), get (module B.Tam_backend))
   in
-  let rows =
+  let systems =
     List.map
-      (fun (label, soc) ->
-        let (ct, ca), (tt, ta) = plan_outcomes soc in
-        tam_system_results := (label, (ct, ca, tt, ta)) :: !tam_system_results;
-        [
-          label;
-          string_of_int ct;
-          string_of_int ca;
-          string_of_int tt;
-          string_of_int ta;
-          Printf.sprintf "%.2fx" (float_of_int ct /. float_of_int (max 1 tt));
-        ])
+      (fun (label, soc) -> (label, plan_outcomes soc))
       [ ("system1", soc1); ("system2", soc2) ]
   in
   Ascii_table.print
     ~header:
       [ "system"; "ccg TAT"; "ccg area"; "tam TAT"; "tam area"; "tam speedup" ]
-    rows;
+    (List.map
+       (fun (label, ((ct, ca), (tt, ta))) ->
+         [
+           label;
+           string_of_int ct;
+           string_of_int ca;
+           string_of_int tt;
+           string_of_int ta;
+           Printf.sprintf "%.2fx" (float_of_int ct /. float_of_int (max 1 tt));
+         ])
+       systems);
   Printf.printf
     "\nrandom-SOC fleet (%d heterogeneous SOCs, seed %d, both backends):\n"
     tam_fleet_count tam_fleet_seed;
@@ -1130,25 +1171,41 @@ let tam_section () =
     Socet_tam.Fleet.run ~seed:tam_fleet_seed ~count:tam_fleet_count ()
   in
   let s = Socet_tam.Fleet.summarize entries in
-  tam_fleet_summary := Some s;
   print_string (Socet_tam.Fleet.render entries);
   if s.Socet_tam.Fleet.s_failures > 0 || s.Socet_tam.Fleet.s_issues > 0 then
-    failwith "tam fleet produced failures or replay violations"
+    failwith "tam fleet produced failures or replay violations";
+  ( "tam",
+    Json.Obj
+      (List.map
+         (fun (label, ((ct, ca), (tt, ta))) ->
+           ( label,
+             Json.Obj
+               [
+                 ("ccg_tat_cycles", int ct);
+                 ("ccg_area_cells", int ca);
+                 ("tam_tat_cycles", int tt);
+                 ("tam_area_cells", int ta);
+               ] ))
+         systems
+      @ [
+          ( "fleet",
+            Json.Obj
+              [
+                ("socs", int s.Socet_tam.Fleet.s_count);
+                ("seed", int tam_fleet_seed);
+                ("failures", int s.Socet_tam.Fleet.s_failures);
+                ("replay_issues", int s.Socet_tam.Fleet.s_issues);
+                ("ccg_mean_tat", Json.Num s.Socet_tam.Fleet.s_ccg_mean_time);
+                ("ccg_mean_area", Json.Num s.Socet_tam.Fleet.s_ccg_mean_area);
+                ("tam_mean_tat", Json.Num s.Socet_tam.Fleet.s_tam_mean_time);
+                ("tam_mean_area", Json.Num s.Socet_tam.Fleet.s_tam_mean_area);
+                ("tam_time_wins", int s.Socet_tam.Fleet.s_tam_time_wins);
+              ] );
+        ]) )
 
 (* ------------------------------------------------------------------ *)
 (* Persistent result cache: warm vs cold                               *)
 (* ------------------------------------------------------------------ *)
-
-(* Fleet pass: (cold ms, warm ms, hits, misses, identical, store bytes);
-   serve pass: (cold jobs/s, warm jobs/s, warm hit rate); the optional
-   ≥4-domain warm pass — all stashed for the BENCH_socet.json "cache"
-   section. *)
-let cache_fleet_results :
-    (float * float * int * int * bool * int) option ref =
-  ref None
-
-let cache_serve_results : (float * float * float) option ref = ref None
-let cache_domain_scaling : (int, float) Either.t option ref = ref None
 
 let cache_section () =
   section "Persistent result cache: warm vs cold";
@@ -1162,6 +1219,9 @@ let cache_section () =
     List.fold_left
       (fun (h, m) (_, h', m') -> (h + h', m + m'))
       (0, 0) (Cache.scoreboard ())
+  in
+  let hit_rate hits misses =
+    float_of_int hits /. float_of_int (max 1 (hits + misses))
   in
   let tmp_dir tag =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -1200,8 +1260,6 @@ let cache_section () =
   check "warm" warm_entries;
   if not identical then failwith "warm fleet output differs from cold";
   let store_bytes = Socet_cache.Store.bytes_used store in
-  cache_fleet_results :=
-    Some (cold_ms, warm_ms, hits, misses, identical, store_bytes);
   Ascii_table.print
     ~header:[ "pass"; "wall ms"; "hits"; "misses"; "hit rate" ]
     [
@@ -1211,17 +1269,17 @@ let cache_section () =
         Printf.sprintf "%.0f" warm_ms;
         string_of_int hits;
         string_of_int misses;
-        Printf.sprintf "%.2f" (float_of_int hits /. float_of_int (max 1 (hits + misses)));
+        Printf.sprintf "%.2f" (hit_rate hits misses);
       ];
     ];
   Printf.printf
     "warm/cold = %.2f (acceptance: <= 0.50); outputs byte-identical; store %d KiB\n"
     (warm_ms /. cold_ms)
     (store_bytes / 1024);
-  (* Serve path: the same explore job through the wire protocol with the
-     request-level cache field, one sequential client, two passes. *)
+  (* Serve path: the same chip and atpg jobs through the wire protocol
+     with the request-level cache field, one sequential client, two
+     passes. *)
   let serve_dir = tmp_dir "serve" in
-  let module Serve = Socet_serve in
   let socket =
     Filename.concat (Filename.get_temp_dir_name ()) "socet-bench-cache.sock"
   in
@@ -1244,57 +1302,71 @@ let cache_section () =
         Serve.Proto.Atpg { Serve.Proto.at_core = "preprocessor" };
       ]
   in
-  let jobs = List.length reqs in
-  let run_pass () =
-    match Serve.Client.connect socket with
-    | Error e -> failwith (Error.to_string e)
-    | Ok c ->
-        let _, wall_ms =
-          time (fun () ->
-              List.iter
-                (fun req ->
-                  match Serve.Client.request c req with
-                  | Ok _ -> ()
-                  | Error e -> failwith (Error.to_string e))
-                reqs)
-        in
-        Serve.Client.close c;
-        float_of_int jobs /. (wall_ms /. 1000.0)
+  let run_pass label =
+    let l = closed_loop ~socket ~clients:1 reqs in
+    require_all ("cache serve " ^ label ^ " pass") l;
+    l.l_jobs_per_s
   in
-  let cold_jobs_s = run_pass () in
+  let cold_jobs_s = run_pass "cold" in
   Cache.reset_scoreboard ();
-  let warm_jobs_s = run_pass () in
+  let warm_jobs_s = run_pass "warm" in
   let sh, sm = scoreboard_totals () in
-  let serve_hit_rate = float_of_int sh /. float_of_int (max 1 (sh + sm)) in
+  let serve_hit_rate = hit_rate sh sm in
   Serve.Server.shutdown srv;
   ignore (Serve.Server.wait srv);
-  cache_serve_results := Some (cold_jobs_s, warm_jobs_s, serve_hit_rate);
   Printf.printf
     "serve (%d chip jobs, request-level cache field): cold %.1f jobs/s, \
      warm %.1f jobs/s, warm hit rate %.2f\n"
-    jobs cold_jobs_s warm_jobs_s serve_hit_rate;
+    (List.length reqs) cold_jobs_s warm_jobs_s serve_hit_rate;
   (* Warm fleet under >= 4 pool domains: only meaningful with >= 4
      hardware threads, so gate on the runner. *)
   let hw = Stdlib.Domain.recommended_domain_count () in
-  if hw >= 4 then begin
-    Pool.set_size 4;
-    let entries, ms = time run_fleet in
-    Pool.set_size 1;
-    if
-      not
-        (String.equal
-           (Socet_tam.Fleet.render cold_entries)
-           (Socet_tam.Fleet.render entries))
-    then failwith "4-domain warm fleet output differs from cold";
-    cache_domain_scaling := Some (Either.Right ms);
-    Printf.printf "warm fleet at 4 domains: %.0f ms (byte-identical)\n" ms
-  end
-  else begin
-    cache_domain_scaling := Some (Either.Left hw);
-    Printf.printf
-      "(>=4-domain warm pass skipped: runner reports %d hardware thread(s))\n"
-      hw
-  end
+  let domain_scaling =
+    if hw >= 4 then begin
+      Pool.set_size 4;
+      let entries, ms = time run_fleet in
+      Pool.set_size 1;
+      if
+        not
+          (String.equal
+             (Socet_tam.Fleet.render cold_entries)
+             (Socet_tam.Fleet.render entries))
+      then failwith "4-domain warm fleet output differs from cold";
+      Printf.printf "warm fleet at 4 domains: %.0f ms (byte-identical)\n" ms;
+      [ ("skipped", flag false); ("warm_ms_4_domains", Json.Num ms) ]
+    end
+    else begin
+      Printf.printf
+        "(>=4-domain warm pass skipped: runner reports %d hardware thread(s))\n"
+        hw;
+      [ ("skipped", flag true); ("hardware_threads", int hw) ]
+    end
+  in
+  ( "cache",
+    Json.Obj
+      [
+        ( "fleet",
+          Json.Obj
+            [
+              ("socs", int tam_fleet_count);
+              ("cold_ms", Json.Num cold_ms);
+              ("warm_ms", Json.Num warm_ms);
+              ("warm_over_cold", Json.Num (warm_ms /. cold_ms));
+              ("hits", int hits);
+              ("misses", int misses);
+              ("hit_rate", Json.Num (hit_rate hits misses));
+              ("byte_identical", flag identical);
+              ("store_bytes", int store_bytes);
+            ] );
+        ( "serve",
+          Json.Obj
+            [
+              ("cold_jobs_per_s", Json.Num cold_jobs_s);
+              ("warm_jobs_per_s", Json.Num warm_jobs_s);
+              ("warm_hit_rate", Json.Num serve_hit_rate);
+            ] );
+        ("domain_scaling", Json.Obj domain_scaling);
+      ] )
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
@@ -1367,308 +1439,20 @@ let bechamel_suite () =
   in
   Ascii_table.print ~header:[ "benchmark"; "time" ] (List.sort compare rows)
 
+
 (* ------------------------------------------------------------------ *)
 (* Machine-readable output: BENCH_socet.json                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-engine phases: wall time comes from the observability span
-   timers, counter totals from the registry.  Only metrics whose full
-   name starts with one of the phase's prefixes are attributed to it. *)
-let bench_phases =
-  [
-    ("atpg", [ "atpg.podem."; "atpg.dalg."; "atpg.compact." ],
-     [ "atpg.podem.run"; "atpg.dalg.run" ]);
-    ("fsim", [ "atpg.fsim." ], [ "atpg.fsim.run_comb"; "atpg.fsim.run_seq" ]);
-    ("schedule",
-     [ "core.schedule."; "core.access."; "core.tsearch."; "core.select.";
-       "core.version." ],
-     [ "core.schedule.build"; "core.select.design_space";
-       "core.select.minimize_time"; "core.select.minimize_area" ]);
-    ("resilient", [ "core.resilient." ], [ "core.resilient.plan" ]);
-    ("tam", [ "tam." ],
-     [ "tam.schedule.build"; "tam.fleet.run"; "tam.backend.ccg.plan";
-       "tam.backend.tam.plan" ]);
-  ]
-
-let write_bench_json file =
-  let counters = Obs.snapshot_counters () in
-  let timers = Obs.snapshot_timers () in
-  let histograms = Obs.snapshot_histograms () in
-  let starts_with_any prefixes name =
-    List.exists (fun p -> String.starts_with ~prefix:p name) prefixes
-  in
-  let phase (name, prefixes, wall_timers) =
-    let wall_ms =
-      List.fold_left (fun acc t -> acc +. Obs.timer_total_ms t) 0.0 wall_timers
-    in
-    let phase_counters =
-      List.filter_map
-        (fun (n, v) ->
-          if starts_with_any prefixes n then
-            Some (n, Json.Num (float_of_int v))
-          else None)
-        counters
-    in
-    ( name,
-      Json.Obj
-        [ ("wall_ms", Json.Num wall_ms); ("counters", Json.Obj phase_counters) ]
-    )
-  in
-  let histogram_json (n, (s : Socet_obs.Histogram.summary)) =
-    ( n,
-      Json.Obj
-        [
-          ("count", Json.Num (float_of_int s.Socet_obs.Histogram.s_count));
-          ("min", Json.Num s.Socet_obs.Histogram.s_min);
-          ("p50", Json.Num s.Socet_obs.Histogram.s_p50);
-          ("p90", Json.Num s.Socet_obs.Histogram.s_p90);
-          ("p99", Json.Num s.Socet_obs.Histogram.s_p99);
-          ("max", Json.Num s.Socet_obs.Histogram.s_max);
-        ] )
-  in
-  let timer_json (n, (count, total_us)) =
-    ( n,
-      Json.Obj
-        [
-          ("calls", Json.Num (float_of_int count));
-          ("total_ms", Json.Num (total_us /. 1000.0));
-        ] )
-  in
-  let parallel_json =
-    (* Overall recommendation: the domain count with the lowest summed
-       wall time across the swept engines, recomputed from this run's
-       measurements — not a pinned hardware guess.  hw_domains is what
-       the machine offers; the CI speedup gates only apply when it is
-       high enough to scale. *)
-    let summed =
-      List.fold_left
-        (fun acc (_, (times, _)) ->
-          List.map (fun (d, t) -> (d, t +. List.assoc d times)) acc)
-        [ (1, 0.0); (2, 0.0); (4, 0.0) ]
-        !parallel_results
-    in
-    Json.Obj
-      (("hw_domains",
-        Json.Num (float_of_int (Domain.recommended_domain_count ())))
-      :: ("recommended_domains",
-          Json.Num (float_of_int (argmin_domains summed)))
-      :: List.rev_map
-           (fun (name, (times, identical)) ->
-             let t1 = List.assoc 1 times in
-             ( name,
-               Json.Obj
-                 (List.map
-                    (fun (d, t) ->
-                      (Printf.sprintf "ms_%d_domains" d, Json.Num (t *. 1000.0)))
-                    times
-                 @ [
-                     ("speedup_4", Json.Num (t1 /. List.assoc 4 times));
-                     ( "recommended_domains",
-                       Json.Num (float_of_int (argmin_domains times)) );
-                     ("byte_identical", Json.Num (if identical then 1.0 else 0.0));
-                   ]) ))
-           !parallel_results)
-  in
-  let optimizer_json =
-    Json.Obj
-      (List.rev_map
-         (fun (system, modes) ->
-           ( system,
-             Json.Obj
-               (List.rev_map
-                  (fun (mode, (wall_ms, steps, full_builds, memo_hits)) ->
-                    ( mode,
-                      Json.Obj
-                        [
-                          ("wall_ms", Json.Num wall_ms);
-                          ("steps", Json.Num (float_of_int steps));
-                          ( "full_builds",
-                            Json.Num (float_of_int full_builds) );
-                          ("memo_hits", Json.Num (float_of_int memo_hits));
-                        ] ))
-                  modes) ))
-         !optimizer_results)
-  in
-  let serve_json =
-    let rates entries =
-      List.rev_map
-        (fun (key, (jobs_s, p50, p99)) ->
-          ( key,
-            Json.Obj
-              [
-                ("jobs_per_s", Json.Num jobs_s);
-                ("p50_ms", Json.Num p50);
-                ("p99_ms", Json.Num p99);
-              ] ))
-        entries
-    in
-    let in_process =
-      rates
-        (List.map
-           (fun (d, r) -> (Printf.sprintf "%d_domains" d, r))
-           !serve_results)
-    in
-    let fleet =
-      rates
-        (List.map
-           (fun (w, r) -> (Printf.sprintf "%d_workers" w, r))
-           !serve_fleet_results)
-      @
-      match !serve_fleet_availability with
-      | None -> []
-      | Some (jobs, kills, completed, retries) ->
-          [
-            ( "availability_under_crash",
-              Json.Obj
-                [
-                  ("jobs", Json.Num (float_of_int jobs));
-                  ("injected_kills", Json.Num (float_of_int kills));
-                  ("completed", Json.Num (float_of_int completed));
-                  ( "availability",
-                    Json.Num (float_of_int completed /. float_of_int (max 1 jobs))
-                  );
-                  ("retries", Json.Num (float_of_int retries));
-                ] );
-          ]
-    in
-    Json.Obj (in_process @ [ ("fleet", Json.Obj fleet) ])
-  in
-  let fsim_kernel_json =
-    Json.Obj
-      (List.map
-         (fun (name, (ms, eps)) ->
-           ( name,
-             Json.Obj
-               [ ("wall_ms", Json.Num ms); ("evals_per_s", Json.Num eps) ] ))
-         !fsim_kernel_results
-      @ [
-          ("speedup", Json.Num !fsim_kernel_speedup);
-          ( "byte_identical",
-            Json.Num (if !fsim_kernel_identical then 1.0 else 0.0) );
-        ]
-      @
-      match List.assoc_opt "atpg.fsim.cone_gates" histograms with
-      | Some s -> [ ("cone_gates", snd (histogram_json ("cone_gates", s))) ]
-      | None -> [])
-  in
-  let tam_json =
-    let systems =
-      List.rev_map
-        (fun (label, (ct, ca, tt, ta)) ->
-          ( label,
-            Json.Obj
-              [
-                ("ccg_tat_cycles", Json.Num (float_of_int ct));
-                ("ccg_area_cells", Json.Num (float_of_int ca));
-                ("tam_tat_cycles", Json.Num (float_of_int tt));
-                ("tam_area_cells", Json.Num (float_of_int ta));
-              ] ))
-        !tam_system_results
-    in
-    let fleet =
-      match !tam_fleet_summary with
-      | None -> []
-      | Some s ->
-          [
-            ( "fleet",
-              Json.Obj
-                [
-                  ("socs", Json.Num (float_of_int s.Socet_tam.Fleet.s_count));
-                  ("seed", Json.Num (float_of_int tam_fleet_seed));
-                  ( "failures",
-                    Json.Num (float_of_int s.Socet_tam.Fleet.s_failures) );
-                  ( "replay_issues",
-                    Json.Num (float_of_int s.Socet_tam.Fleet.s_issues) );
-                  ("ccg_mean_tat", Json.Num s.Socet_tam.Fleet.s_ccg_mean_time);
-                  ("ccg_mean_area", Json.Num s.Socet_tam.Fleet.s_ccg_mean_area);
-                  ("tam_mean_tat", Json.Num s.Socet_tam.Fleet.s_tam_mean_time);
-                  ("tam_mean_area", Json.Num s.Socet_tam.Fleet.s_tam_mean_area);
-                  ( "tam_time_wins",
-                    Json.Num (float_of_int s.Socet_tam.Fleet.s_tam_time_wins) );
-                ] );
-          ]
-    in
-    Json.Obj (systems @ fleet)
-  in
-  let cache_json =
-    let fleet =
-      match !cache_fleet_results with
-      | None -> []
-      | Some (cold_ms, warm_ms, hits, misses, identical, store_bytes) ->
-          [
-            ( "fleet",
-              Json.Obj
-                [
-                  ("socs", Json.Num (float_of_int tam_fleet_count));
-                  ("cold_ms", Json.Num cold_ms);
-                  ("warm_ms", Json.Num warm_ms);
-                  ("warm_over_cold", Json.Num (warm_ms /. cold_ms));
-                  ("hits", Json.Num (float_of_int hits));
-                  ("misses", Json.Num (float_of_int misses));
-                  ( "hit_rate",
-                    Json.Num
-                      (float_of_int hits /. float_of_int (max 1 (hits + misses)))
-                  );
-                  ("byte_identical", Json.Num (if identical then 1.0 else 0.0));
-                  ("store_bytes", Json.Num (float_of_int store_bytes));
-                ] );
-          ]
-    in
-    let serve =
-      match !cache_serve_results with
-      | None -> []
-      | Some (cold_jobs_s, warm_jobs_s, hit_rate) ->
-          [
-            ( "serve",
-              Json.Obj
-                [
-                  ("cold_jobs_per_s", Json.Num cold_jobs_s);
-                  ("warm_jobs_per_s", Json.Num warm_jobs_s);
-                  ("warm_hit_rate", Json.Num hit_rate);
-                ] );
-          ]
-    in
-    let scaling =
-      match !cache_domain_scaling with
-      | None -> []
-      | Some (Either.Left hw) ->
-          [
-            ( "domain_scaling",
-              Json.Obj
-                [
-                  ("skipped", Json.Num 1.0);
-                  ("hardware_threads", Json.Num (float_of_int hw));
-                ] );
-          ]
-      | Some (Either.Right ms) ->
-          [
-            ( "domain_scaling",
-              Json.Obj
-                [ ("skipped", Json.Num 0.0); ("warm_ms_4_domains", Json.Num ms) ]
-            );
-          ]
-    in
-    Json.Obj (fleet @ serve @ scaling)
-  in
+(* Header, then the sections' entries in run order, then the library
+   exporter's metrics snapshot. *)
+let write_bench_json file sections =
   let doc =
     Json.Obj
-      [
-        ("bench", Json.Str "socet");
-        ("paper", Json.Str "DAC'98 Ghosh/Dey/Jha");
-        ("phases", Json.Obj (List.map phase bench_phases));
-        ("optimizer", optimizer_json);
-        ("parallel", parallel_json);
-        ("fsim_kernel", fsim_kernel_json);
-        ("serve", serve_json);
-        ("tam", tam_json);
-        ("cache", cache_json);
-        ( "counters",
-          Json.Obj
-            (List.map (fun (n, v) -> (n, Json.Num (float_of_int v))) counters)
-        );
-        ("timers", Json.Obj (List.map timer_json timers));
-        ("histograms", Json.Obj (List.map histogram_json histograms));
-      ]
+      ((("bench", Json.Str "socet")
+       :: ("paper", Json.Str "DAC'98 Ghosh/Dey/Jha")
+       :: sections)
+      @ obs_snapshot ())
   in
   let oc = open_out file in
   output_string oc (Json.to_string ~pretty:true doc);
@@ -1688,7 +1472,7 @@ let () =
     (Soc.original_area soc1) soc2.Soc.soc_name (Soc.original_area soc2);
   (* First: the fleet forks workers, which OCaml forbids once any other
      section has spawned a pool domain. *)
-  serve_fleet_section ();
+  let fleet = serve_fleet_section () in
   worked_example ();
   fig6 ();
   fig8 ();
@@ -1701,12 +1485,14 @@ let () =
   bist_section ();
   diagnosis_section ();
   resilience_section ();
-  optimizer_section ();
-  parallel_section ();
-  fsim_kernel_section ();
-  serve_section ();
-  tam_section ();
-  cache_section ();
+  (* Sequential lets: the sections run in this order. *)
+  let optimizer = optimizer_section () in
+  let parallel = parallel_section () in
+  let fsim_kernel = fsim_kernel_section () in
+  let serve = serve_section ~fleet in
+  let tam = tam_section () in
+  let cache = cache_section () in
   bechamel_suite ();
-  write_bench_json "BENCH_socet.json";
+  write_bench_json "BENCH_socet.json"
+    [ optimizer; parallel; fsim_kernel; serve; tam; cache ];
   print_newline ()

@@ -368,19 +368,7 @@ let cmd_schedule opts cache system overlap backend =
   | `Ccg ->
       let choice = List.map (fun ci -> (ci.Soc.ci_name, 1)) soc.Soc.insts in
       let s = Schedule.build soc ~choice () in
-      Socet_util.Ascii_table.print
-        ~header:[ "core"; "vectors"; "cycles/vec"; "tail"; "test time" ]
-        (List.map
-           (fun t ->
-             [
-               t.Schedule.ct_inst;
-               string_of_int t.Schedule.ct_vectors;
-               string_of_int t.Schedule.ct_period;
-               string_of_int t.Schedule.ct_tail;
-               string_of_int t.Schedule.ct_time;
-             ])
-           s.Schedule.s_tests);
-      Printf.printf "sequential total: %d cycles\n" s.Schedule.s_total_time;
+      print_string (Schedule.render s);
       if overlap then begin
         let makespan, starts = Schedule.parallel_makespan s in
         Printf.printf "overlapped makespan: %d cycles\n" makespan;
@@ -491,26 +479,10 @@ let cmd_atpg opts cache core =
 (* Both backends' reports for one SOC as a single string — the unit of
    byte-identity checking across diff-test passes. *)
 let plan_both soc width =
-  let buf = Buffer.create 1024 in
   let choice = List.map (fun ci -> (ci.Soc.ci_name, 1)) soc.Soc.insts in
-  let s = Schedule.build soc ~choice () in
-  Buffer.add_string buf
-    (Socet_util.Ascii_table.render
-       ~header:[ "core"; "vectors"; "cycles/vec"; "tail"; "test time" ]
-       (List.map
-          (fun t ->
-            [
-              t.Schedule.ct_inst;
-              string_of_int t.Schedule.ct_vectors;
-              string_of_int t.Schedule.ct_period;
-              string_of_int t.Schedule.ct_tail;
-              string_of_int t.Schedule.ct_time;
-            ])
-          s.Schedule.s_tests));
-  Buffer.add_string buf
-    (Printf.sprintf "sequential total: %d cycles\n" s.Schedule.s_total_time);
-  Buffer.add_string buf (Socet_tam.Schedule.render (Socet_tam.Schedule.build ?width soc));
-  Buffer.contents buf
+  (* Sequential lets: [^] may evaluate its right operand first. *)
+  let ccg = Schedule.render (Schedule.build soc ~choice ()) in
+  ccg ^ Socet_tam.Schedule.render (Socet_tam.Schedule.build ?width soc)
 
 (* A functional-but-equivalent netlist edit to the first core: an
    inverter pair spliced into its first primary output.  The logic

@@ -77,12 +77,3 @@ let all_faults ~words ~width =
     if addr + 1 < words then acc := Decoder_alias { a = addr; b = addr + 1 } :: !acc
   done;
   List.rev !acc
-
-let fault_name = function
-  | Cell_saf { addr; bit; stuck } ->
-      Printf.sprintf "saf@%d.%d/%d" addr bit (if stuck then 1 else 0)
-  | Transition { addr; bit; rising } ->
-      Printf.sprintf "tf@%d.%d/%s" addr bit (if rising then "up" else "down")
-  | Coupling { aggressor; victim; bit; value } ->
-      Printf.sprintf "cf@%d->%d.%d/%d" aggressor victim bit (if value then 1 else 0)
-  | Decoder_alias { a; b } -> Printf.sprintf "af@%d->%d" a b

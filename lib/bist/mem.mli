@@ -29,5 +29,3 @@ val all_faults : words:int -> width:int -> fault list
 (** A representative fault population: every cell stuck-at, every
     transition fault, neighbour coupling on every bit, and adjacent
     decoder swaps.  Size is linear in [words * width]. *)
-
-val fault_name : fault -> string

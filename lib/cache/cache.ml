@@ -8,8 +8,6 @@
 
 let active : Store.t option Atomic.t = Atomic.make None
 
-let set_active s = Atomic.set active s
-let active_store () = Atomic.get active
 let enabled () = Atomic.get active <> None
 
 let with_store s f =

@@ -19,8 +19,6 @@
     cached results.  Observability: [cache.{hits,misses,stores,
     evictions}] counters and the [cache.bytes] gauge. *)
 
-val set_active : Store.t option -> unit
-val active_store : unit -> Store.t option
 val enabled : unit -> bool
 
 val with_store : Store.t option -> (unit -> 'a) -> 'a
@@ -32,7 +30,8 @@ val open_dir :
 
 val activate_dir :
   ?limit_bytes:int -> string -> (unit, Socet_util.Error.t) result
-(** {!open_dir} + {!set_active}: the CLI's [--cache DIR] validation
+(** {!open_dir}, then make the store active for the rest of the
+    process: the CLI's [--cache DIR] validation
     (create-if-missing, reject unwritable — structured error, exit 3). *)
 
 val find : ns:string -> key:string -> 'a option

@@ -177,6 +177,21 @@ let build ?budget soc ~choice ?(smuxes = []) () =
   assemble soc ~choice ~n_requested:(List.length smuxes) ~requested_cost ccg
     tests
 
+let render s =
+  Socet_util.Ascii_table.render
+    ~header:[ "core"; "vectors"; "cycles/vec"; "tail"; "test time" ]
+    (List.map
+       (fun t ->
+         [
+           t.ct_inst;
+           string_of_int t.ct_vectors;
+           string_of_int t.ct_period;
+           string_of_int t.ct_tail;
+           string_of_int t.ct_time;
+         ])
+       s.s_tests)
+  ^ Printf.sprintf "sequential total: %d cycles\n" s.s_total_time
+
 let involved_cores t =
   let insts =
     List.concat_map

@@ -111,6 +111,12 @@ val assemble :
     counts only whole {!build} calls, so [builds - full_builds] is the
     number of schedules assembled from (partly) memoized routes. *)
 
+val render : t -> string
+(** The [socet schedule] table: one row per core (vectors, cycles per
+    vector, tail, test time) plus the sequential-total line — shared by
+    [socet schedule] and [socet diff-test], the mirror of
+    {!Socet_tam.Schedule.render}. *)
+
 (** {2 Overlapped scheduling (extension beyond the paper)}
 
     The paper tests the cores one after another.  Core tests whose access

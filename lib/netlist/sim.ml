@@ -29,12 +29,6 @@ let bitvec_of_words w =
   Array.iteri (fun i x -> Bitvec.set bv i (x land 1 = 1)) w;
   bv
 
-let eval_comb t ~pi ~state =
-  let f = Flat.of_netlist t in
-  let v = Array.make f.Flat.n 0 in
-  Flat.eval_good f ~pi:(words_of_bitvec pi) ~state:(words_of_bitvec state) v;
-  Array.map (fun x -> x land 1) v
-
 let eval t ~pi ~state =
   let f = Flat.of_netlist t in
   let v = Array.make f.Flat.n 0 in

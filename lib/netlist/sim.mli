@@ -25,10 +25,6 @@ val eval :
     output values *before* the clock edge and the next state.  [pi] is in
     [Netlist.pis] order, outputs in [Netlist.pos] order. *)
 
-val eval_comb : Netlist.t -> pi:Socet_util.Bitvec.t -> state:state -> int array
-(** Full net-value vector (0/1 per net) for one evaluation; indexable by
-    net id.  Useful for debugging and for the ATPG's good-machine check. *)
-
 type wvec = int array
 (** One machine word per net; bit [k] of word [v.(net)] is the value of
     [net] under pattern [k]. *)

@@ -14,7 +14,7 @@ let set = Atomic.set
    increments from inside parallel regions (PODEM decisions, fault
    evals) land on the calling domain's own cell instead of bouncing one
    cache line across every core; reads sum the cells, so totals are
-   exact.  Per-shard readouts let the bench attribute work to domains. *)
+   exact. *)
 type sharded = int Atomic.t array
 
 let make_sharded () =
@@ -23,12 +23,7 @@ let make_sharded () =
 let sharded_incr s =
   Atomic.incr (Array.unsafe_get s (Socet_util.Pool.domain_slot ()))
 
-let sharded_add s n =
-  ignore
-    (Atomic.fetch_and_add (Array.unsafe_get s (Socet_util.Pool.domain_slot ())) n)
-
 let sharded_value s = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 s
-let sharded_shards s = Array.map Atomic.get s
 let sharded_reset s = Array.iter (fun c -> Atomic.set c 0) s
 
 let rec set_max g v =

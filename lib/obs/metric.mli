@@ -28,12 +28,7 @@ type sharded
 
 val make_sharded : unit -> sharded
 val sharded_incr : sharded -> unit
-val sharded_add : sharded -> int -> unit
 val sharded_value : sharded -> int
-
-val sharded_shards : sharded -> int array
-(** Per-slot snapshot (index = {!Socet_util.Pool.domain_slot}); slot 0 is
-    the submitting domain. *)
 
 val sharded_reset : sharded -> unit
 

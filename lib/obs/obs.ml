@@ -43,9 +43,6 @@ let sharded_counter ?(scope = "") name =
   Registry.sharded registry (scoped scope name)
 
 let sincr s = if st.on then Metric.sharded_incr s
-let sadd s n = if st.on then Metric.sharded_add s n
-let svalue = Metric.sharded_value
-let sshards = Metric.sharded_shards
 
 let gauge ?(scope = "") name = Registry.gauge registry (scoped scope name)
 let set_gauge g v = if st.on then Metric.set g v

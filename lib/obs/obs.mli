@@ -69,11 +69,6 @@ val sharded_counter : ?scope:string -> string -> sharded
     of the cells, under the same name rules as {!counter}. *)
 
 val sincr : sharded -> unit
-val sadd : sharded -> int -> unit
-val svalue : sharded -> int
-
-val sshards : sharded -> int array
-(** Per-domain-slot snapshot; index 0 is the submitting domain. *)
 
 val gauge : ?scope:string -> string -> gauge
 val set_gauge : gauge -> int -> unit

@@ -14,5 +14,3 @@ let ff_count nl = List.length (Netlist.dffs nl)
 let overhead_percent ~base ~extra =
   Obs.incr c_evals;
   if base = 0 then 0.0 else 100.0 *. float_of_int extra /. float_of_int base
-
-let pp_percent fmt p = Format.fprintf fmt "%.1f" p

@@ -9,6 +9,3 @@ val ff_count : Netlist.t -> int
 
 val overhead_percent : base:int -> extra:int -> float
 (** [100 * extra / base]. *)
-
-val pp_percent : Format.formatter -> float -> unit
-(** One decimal, e.g. "18.8". *)

@@ -99,7 +99,6 @@ let exhausted b =
 let take ?cost b = if not (spend ?cost b) then raise (Exhausted_exn b.b_label)
 
 let spent b = b.used
-let remaining_steps b = max 0 b.fuel
 let label b = b.b_label
 
 let to_error b ~engine =

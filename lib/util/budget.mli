@@ -63,9 +63,6 @@ val take : ?cost:int -> t -> unit
 val spent : t -> int
 (** Steps drained from this budget so far. *)
 
-val remaining_steps : t -> int
-(** [max_int] when fuel-unlimited. *)
-
 val label : t -> string
 
 val to_error : t -> engine:string -> Error.t

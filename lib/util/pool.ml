@@ -211,17 +211,6 @@ let run_chunks ~chunks run =
 (* Combinators                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* [SOCET_CHUNK] pins the work-stealing granularity for experiments;
-   read once, like [SOCET_DOMAINS]. *)
-let env_chunk =
-  lazy
-    (match Sys.getenv_opt "SOCET_CHUNK" with
-    | None -> None
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> Some n
-        | _ -> None))
-
 (* Minimum work units a chunk should carry before fan-out pays for the
    cursor traffic and wake-ups.  With [cost] (estimated units per item,
    e.g. gates per fault cone) the caller turns a sea of tiny items into
@@ -231,19 +220,16 @@ let env_chunk =
 let grain = 2048.0
 
 let chunk_size ?chunk ?cost n =
-  match Lazy.force env_chunk with
+  match chunk with
   | Some c -> max 1 c
-  | None -> (
-      match chunk with
-      | Some c -> max 1 c
-      | None ->
-          let by_balance = max 1 (n / (4 * size ())) in
-          let by_grain =
-            match cost with
-            | None -> 1
-            | Some c -> int_of_float (ceil (grain /. Float.max 1.0 c))
-          in
-          max by_balance by_grain)
+  | None ->
+      let by_balance = max 1 (n / (4 * size ())) in
+      let by_grain =
+        match cost with
+        | None -> 1
+        | Some c -> int_of_float (ceil (grain /. Float.max 1.0 c))
+      in
+      max by_balance by_grain
 
 let parallel_iter_ranges ?chunk ?cost n f =
   if n > 0 then begin

@@ -44,9 +44,8 @@ val domain_slot : unit -> int
 
 val chunk_size : ?chunk:int -> ?cost:float -> int -> int
 (** The work-stealing granularity the combinators below use for [n]
-    items, exposed for tests and tuning.  Priority: the [SOCET_CHUNK]
-    environment variable (pins the size for experiments), then [chunk],
-    then the heuristic: at least [n / (4 * size ())] (4 chunks per
+    items, exposed for tests and tuning.  An explicit [chunk] wins;
+    otherwise the heuristic: at least [n / (4 * size ())] (4 chunks per
     domain), raised until a chunk carries ~2048 estimated work units
     when [cost] (units per item, e.g. p50 gates per fault cone) says
     items are tiny — coarse shards instead of per-item fan-out. *)

@@ -187,12 +187,23 @@ let test_stats_json_well_formed () =
   let h = Obs.histogram ~scope:"test" "stats.hist" in
   Obs.add c 3;
   List.iter (Obs.observe h) [ 1.0; 2.0; 3.0 ];
+  Obs.with_span ~cat:"test" "stats.sleep" (fun () -> Unix.sleepf 0.02);
   let doc = parse (Obs.stats_json ()) in
   let counters = member "counters" doc in
   check "counter exported" true
     (to_float (member "test.stats.count" counters) = 3.0);
   let hist = member "test.stats.hist" (member "histograms" doc) in
-  check "histogram count exported" true (to_float (member "count" hist) = 3.0)
+  check "histogram count exported" true (to_float (member "count" hist) = 3.0);
+  (* Timers export milliseconds: a ~20 ms span lands well inside
+     [15, 1000] whatever the scheduler does, and far from the 20000 a
+     microsecond total would show. *)
+  let timer = member "test.stats.sleep" (member "timers" doc) in
+  check "timer count exported" true (to_float (member "count" timer) = 1.0);
+  let total_ms = to_float (member "total_ms" timer) in
+  check
+    (Printf.sprintf "timer total_ms %.3f within [15, 1000]" total_ms)
+    true
+    (total_ms >= 15.0 && total_ms <= 1000.0)
 
 let test_file_sink_streams_jsonl () =
   let path = Filename.temp_file "socet-obs" ".jsonl" in
