@@ -728,7 +728,7 @@ let argmin_domains times =
        (1, infinity) times)
 
 let parallel_section () =
-  section "Parallel scaling: fault simulation, PODEM and design-space search";
+  section "Parallel scaling: fault simulation and design-space search";
   (* Each engine thunk returns a digest of its full result, so the sweep
      checks the determinism contract (byte-identical at any domain
      count) on the exact workloads it times. *)
@@ -780,14 +780,6 @@ let parallel_section () =
         ( "fsim CPU (64 vec, full fault list)",
           fun () ->
             digest_of (fault_sig (Socet_atpg.Fsim.run_comb nl ~vectors:vecs ~faults)) );
-        ( "podem CPU (16 random + determ)",
-          fun () ->
-            let s = Socet_atpg.Podem.run ~random_patterns:16 nl in
-            digest_of
-              ( List.map Bitvec.to_string s.Socet_atpg.Podem.vectors,
-                fault_sig s.Socet_atpg.Podem.detected,
-                fault_sig s.Socet_atpg.Podem.redundant,
-                fault_sig s.Socet_atpg.Podem.aborted ) );
         ("design space System 1", design_space soc1);
         ("design space System 2", design_space soc2);
       ]

@@ -7,11 +7,8 @@ module Cache = Socet_cache.Cache
    loop, so those are the counters every perf PR will watch. *)
 let c_faults = Obs.counter ~scope:"atpg" "podem.faults_targeted"
 
-(* The decision/backtrack cells are hammered from inside speculative
-   windows, so they are sharded per pool domain slot — increments stay on
-   the worker's own cache line, reads sum to the exact total. *)
-let c_decisions = Obs.sharded_counter ~scope:"atpg" "podem.decisions"
-let c_backtracks = Obs.sharded_counter ~scope:"atpg" "podem.backtracks"
+let c_decisions = Obs.counter ~scope:"atpg" "podem.decisions"
+let c_backtracks = Obs.counter ~scope:"atpg" "podem.backtracks"
 let h_backtracks = Obs.histogram ~scope:"atpg" "podem.backtracks_per_fault"
 
 (* Adaptive-budget telemetry: one escalation per fault per pass that had
@@ -19,6 +16,13 @@ let h_backtracks = Obs.histogram ~scope:"atpg" "podem.backtracks_per_fault"
    backtracks_per_fault histogram is bimodal, so most faults never leave
    the cheap first pass). *)
 let c_escalations = Obs.counter ~scope:"atpg" "podem.budget_escalations"
+
+(* One outcome per [generate] call, and the decisions spent on searches
+   that aborted: the effort the budget escalation throws away. *)
+let c_outcome_test = Obs.counter ~scope:"atpg" "podem.outcome_test"
+let c_outcome_untestable = Obs.counter ~scope:"atpg" "podem.outcome_untestable"
+let c_outcome_aborted = Obs.counter ~scope:"atpg" "podem.outcome_aborted"
+let c_decisions_in_aborted = Obs.counter ~scope:"atpg" "podem.decisions_in_aborted"
 
 type outcome = Test of Bitvec.t | Untestable | Aborted
 
@@ -55,21 +59,24 @@ let tv_of_bool b = if b then T1 else T0
 (* The five-valued machine state: good and faulty ternary value per net. *)
 type machine = { g : tv array; f : tv array }
 
-let eval_tv nl v g =
-  let f = Netlist.fanin nl g in
-  match Netlist.kind nl g with
-  | Cell.Pi | Cell.Dff | Cell.Dffe | Cell.Sdff | Cell.Sdffe -> v.(g)
-  | Cell.Const0 -> T0
-  | Cell.Const1 -> T1
-  | Cell.Buf -> v.(f.(0))
-  | Cell.Inv -> tv_not v.(f.(0))
-  | Cell.And2 -> tv_and v.(f.(0)) v.(f.(1))
-  | Cell.Or2 -> tv_or v.(f.(0)) v.(f.(1))
-  | Cell.Nand2 -> tv_not (tv_and v.(f.(0)) v.(f.(1)))
-  | Cell.Nor2 -> tv_not (tv_or v.(f.(0)) v.(f.(1)))
-  | Cell.Xor2 -> tv_xor v.(f.(0)) v.(f.(1))
-  | Cell.Xnor2 -> tv_not (tv_xor v.(f.(0)) v.(f.(1)))
-  | Cell.Mux2 -> tv_mux v.(f.(0)) v.(f.(1)) v.(f.(2))
+(* Ternary value of gate [g] over the values [v], on the flat form's kind
+   codes (see [Flat.k_*]).  Sources — PIs and flip-flops — hold the value
+   already loaded into [v]. *)
+let eval_tv (fl : Flat.t) v g =
+  let b = fl.Flat.fanin_off.(g) and fi = fl.Flat.fanin in
+  match fl.Flat.kinds.(g) with
+  | 1 -> T0
+  | 2 -> T1
+  | 3 -> v.(fi.(b))
+  | 4 -> tv_not v.(fi.(b))
+  | 5 -> tv_and v.(fi.(b)) v.(fi.(b + 1))
+  | 6 -> tv_or v.(fi.(b)) v.(fi.(b + 1))
+  | 7 -> tv_not (tv_and v.(fi.(b)) v.(fi.(b + 1)))
+  | 8 -> tv_not (tv_or v.(fi.(b)) v.(fi.(b + 1)))
+  | 9 -> tv_xor v.(fi.(b)) v.(fi.(b + 1))
+  | 10 -> tv_not (tv_xor v.(fi.(b)) v.(fi.(b + 1)))
+  | 11 -> tv_mux v.(fi.(b)) v.(fi.(b + 1)) v.(fi.(b + 2))
+  | _ -> v.(g)
 
 (* Ternary D capture of a flip-flop, per the cell semantics. *)
 let capture_tv nl v ff =
@@ -85,86 +92,156 @@ let capture_tv nl v ff =
 
 let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
   Obs.incr c_faults;
-  let n = Netlist.gate_count nl in
-  (* All structural queries below run on the flat form: input index maps
-     (pi_of/dff_of), observability bits and the fanout CSR replace the
-     per-call Hashtbl and list scans of the original. *)
   let flat = Flat.of_netlist nl in
-  let order = flat.Flat.order in
+  let n = flat.Flat.n in
+  let kinds = flat.Flat.kinds in
+  let fi_off = flat.Flat.fanin_off and fi = flat.Flat.fanin in
+  let fo_off = flat.Flat.fanout_off and fo = flat.Flat.fanout in
+  let level = flat.Flat.level in
   let npi = Array.length flat.Flat.pis in
   let ninputs = npi + Array.length flat.Flat.dffs in
+  let input_net i =
+    if i < npi then flat.Flat.pis.(i) else flat.Flat.dffs.(i - npi)
+  in
   let assign = Array.make ninputs TX in
   let m = { g = Array.make n TX; f = Array.make n TX } in
+  let site = fault.f_net in
   let stuck = tv_of_bool fault.f_stuck in
-  let imply () =
-    (* Load input assignments: slot i is PI i for i < npi, flip-flop
-       (i - npi) above. *)
-    Array.iteri (fun i net -> m.g.(net) <- assign.(i)) flat.Flat.pis;
-    Array.iteri (fun i net -> m.g.(net) <- assign.(npi + i)) flat.Flat.dffs;
-    Array.iter
-      (fun g ->
-        let gv = eval_tv nl m.g g in
-        m.g.(g) <- gv;
-        let fv = if g = fault.f_net then stuck else eval_tv nl m.f g in
-        (* Inputs of the faulty machine mirror the good machine. *)
-        let fv =
-          match Netlist.kind nl g with
-          | (Cell.Pi | Cell.Dff | Cell.Dffe | Cell.Sdff | Cell.Sdffe)
-            when g <> fault.f_net ->
-              gv
-          | _ -> fv
-        in
-        m.f.(g) <- fv)
-      order
+  (* Only the site's combinational fanout can carry a D, so the frontier
+     and observation checks scan the fault cone alone. *)
+  let cone, _ = Flat.cone flat site in
+  (* The all-X state, evaluated in full once.  Inputs of the faulty
+     machine mirror the good machine except at the site. *)
+  Array.iter
+    (fun g ->
+      let gv = eval_tv flat m.g g in
+      m.g.(g) <- gv;
+      m.f.(g) <-
+        (if g = site then stuck
+         else if kinds.(g) = Flat.k_pi || kinds.(g) >= Flat.k_dff then gv
+         else eval_tv flat m.f g))
+    flat.Flat.order;
+  (* Event-driven implication.  Ternary values are a function of the
+     assignment, so a changed input only re-evaluates its combinational
+     fanout, level by level; no trail is needed to undo a backtrack.
+     Bucket [l] occupies [bucket.(lvl_off.(l)) ..] with [lvl_fill.(l)]
+     entries — at most the gate count of that level, since [queued] keeps
+     each gate in its bucket once. *)
+  let max_level = Array.fold_left max 0 level in
+  let lvl_off = Array.make (max_level + 2) 0 in
+  for g = 0 to n - 1 do
+    if kinds.(g) < Flat.k_dff then
+      lvl_off.(level.(g) + 1) <- lvl_off.(level.(g) + 1) + 1
+  done;
+  for l = 1 to max_level + 1 do
+    lvl_off.(l) <- lvl_off.(l) + lvl_off.(l - 1)
+  done;
+  let lvl_fill = Array.make (max_level + 1) 0 in
+  let bucket = Array.make (max 1 n) 0 in
+  let queued = Bytes.make n '\000' in
+  let top = ref 0 in
+  let schedule_readers net =
+    for e = fo_off.(net) to fo_off.(net + 1) - 1 do
+      let h = fo.(e) in
+      if kinds.(h) < Flat.k_dff && Bytes.get queued h = '\000' then begin
+        Bytes.set queued h '\001';
+        let l = level.(h) in
+        bucket.(lvl_off.(l) + lvl_fill.(l)) <- h;
+        lvl_fill.(l) <- lvl_fill.(l) + 1;
+        if l > !top then top := l
+      end
+    done
+  in
+  let set_input i =
+    let net = input_net i in
+    let gv = assign.(i) in
+    let fv = if net = site then stuck else gv in
+    if gv <> m.g.(net) || fv <> m.f.(net) then begin
+      m.g.(net) <- gv;
+      m.f.(net) <- fv;
+      schedule_readers net
+    end
+  in
+  let propagate () =
+    let l = ref 1 in
+    while !l <= !top do
+      let base = lvl_off.(!l) in
+      (* Readers sit at strictly higher levels, so this bucket is complete
+         once processing reaches it. *)
+      for j = base to base + lvl_fill.(!l) - 1 do
+        let g = bucket.(j) in
+        Bytes.set queued g '\000';
+        let gv = eval_tv flat m.g g in
+        let fv = if g = site then stuck else eval_tv flat m.f g in
+        if gv <> m.g.(g) || fv <> m.f.(g) then begin
+          m.g.(g) <- gv;
+          m.f.(g) <- fv;
+          schedule_readers g
+        end
+      done;
+      lvl_fill.(!l) <- 0;
+      incr l
+    done;
+    top := 0
   in
   let is_d net = m.g.(net) <> TX && m.f.(net) <> TX && m.g.(net) <> m.f.(net) in
   let observable_d () =
-    Array.exists is_d flat.Flat.pos_net
+    Array.exists (fun k -> is_d flat.Flat.pos_net.(k)) cone.Flat.c_pos
     || Array.exists
-         (fun ff ->
+         (fun k ->
+           let ff = flat.Flat.dffs.(k) in
            let gd = capture_tv nl m.g ff and fd = capture_tv nl m.f ff in
            gd <> TX && fd <> TX && gd <> fd)
-         flat.Flat.dffs
+         cone.Flat.c_dffs
   in
+  let has_d_fanin g =
+    let rec go e = e < fi_off.(g + 1) && (is_d fi.(e) || go (e + 1)) in
+    go fi_off.(g)
+  in
+  (* The D-frontier in global topological order (cone gates keep it). *)
   let d_frontier () =
     let res = ref [] in
-    Array.iter
-      (fun g ->
-        match Netlist.kind nl g with
-        | Cell.Pi | Cell.Const0 | Cell.Const1 | Cell.Dff | Cell.Dffe | Cell.Sdff
-        | Cell.Sdffe ->
-            ()
-        | _ ->
-            if (m.g.(g) = TX || m.f.(g) = TX)
-               && Array.exists is_d (Netlist.fanin nl g)
-            then res := g :: !res)
-      order;
-    List.rev !res
+    let gates = cone.Flat.c_gates in
+    for j = Array.length gates - 1 downto 0 do
+      let g = gates.(j) in
+      let k = kinds.(g) in
+      if k > Flat.k_const1 && k < Flat.k_dff
+         && (m.g.(g) = TX || m.f.(g) = TX)
+         && has_d_fanin g
+      then res := g :: !res
+    done;
+    !res
   in
   (* X-path check: can a D on the frontier still reach an observation
-     point through X-valued nets? *)
+     point through X-valued nets?  [seen] holds the epoch of the last
+     search that reached each gate. *)
+  let seen = Array.make n 0 and epoch = ref 0 in
+  let xq = Array.make (max 1 n) 0 in
   let x_path_exists frontier =
-    let seen = Array.make n false in
-    let queue = Queue.create () in
+    incr epoch;
+    let ep = !epoch in
+    let tail = ref 0 in
     List.iter
       (fun g ->
-        seen.(g) <- true;
-        Queue.add g queue)
+        seen.(g) <- ep;
+        xq.(!tail) <- g;
+        incr tail)
       frontier;
-    let found = ref false in
-    let fo_off = flat.Flat.fanout_off and fo = flat.Flat.fanout in
-    while (not !found) && not (Queue.is_empty queue) do
-      let g = Queue.pop queue in
+    let head = ref 0 and found = ref false in
+    while (not !found) && !head < !tail do
+      let g = xq.(!head) in
+      incr head;
       if flat.Flat.is_obs.(g) then found := true
       else
         for j = fo_off.(g) to fo_off.(g + 1) - 1 do
           let h = fo.(j) in
-          if (not seen.(h))
-             && flat.Flat.kinds.(h) < Flat.k_dff
+          if seen.(h) <> ep
+             && kinds.(h) < Flat.k_dff
              && (m.g.(h) = TX || m.f.(h) = TX)
           then begin
-            seen.(h) <- true;
-            Queue.add h queue
+            seen.(h) <- ep;
+            xq.(!tail) <- h;
+            incr tail
           end
         done
     done;
@@ -172,7 +249,7 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
   in
   (* Fault effect can also still be unactivated but activatable. *)
   let site_ok () =
-    match m.g.(fault.f_net) with
+    match m.g.(site) with
     | TX -> true
     | v -> v <> stuck
   in
@@ -187,15 +264,29 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
   let frontier_rank g =
     match scoap with Some (s : Scoap.t) -> s.Scoap.co.(g) | None -> 0
   in
-  let objective () =
-    if m.g.(fault.f_net) = TX then Some (fault.f_net, tv_not stuck)
+  let objective frontier =
+    if m.g.(site) = TX then Some (site, tv_not stuck)
     else
-      match
-        List.sort (fun a b -> compare (frontier_rank a) (frontier_rank b))
-          (d_frontier ())
-      with
-      | [] -> None
-      | gate :: _ ->
+      (* The first frontier gate of minimal rank among those with an
+         unassigned input.  A gate whose good inputs are all set but whose
+         faulty output is still X offers no objective; picking it would
+         backtrack a live search and could report a testable fault as
+         redundant. *)
+      let has_x_pin g =
+        let rec go e = e < fi_off.(g + 1) && (m.g.(fi.(e)) = TX || go (e + 1)) in
+        go fi_off.(g)
+      in
+      let best =
+        List.fold_left
+          (fun best g ->
+            match best with
+            | Some b when frontier_rank b <= frontier_rank g -> best
+            | _ -> if has_x_pin g then Some g else best)
+          None frontier
+      in
+      match best with
+      | None -> None
+      | Some gate ->
           let fanin = Netlist.fanin nl gate in
           let xpins =
             Array.to_list fanin |> List.filter (fun p -> m.g.(p) = TX)
@@ -226,16 +317,18 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
     | Some i -> if assign.(i) = TX then Some (i, v) else None
     | None -> (
         let fanin = Netlist.fanin nl net in
-        (* Among the unassigned fanins, prefer the one SCOAP deems easiest
+        (* Among the unassigned fanins, the first one SCOAP deems easiest
            to drive to the value this branch will request. *)
         let pick_x_for target =
-          Array.to_list fanin
-          |> List.filter (fun p -> m.g.(p) = TX)
-          |> List.sort (fun a b -> compare (cc a target) (cc b target))
-          |> function [] -> None | p :: _ -> Some p
+          Array.fold_left
+            (fun best p ->
+              if m.g.(p) <> TX then best
+              else
+                match best with
+                | Some b when cc b target <= cc p target -> best
+                | _ -> Some p)
+            None fanin
         in
-        let pick_x () = pick_x_for v in
-        ignore pick_x;
         match Netlist.kind nl net with
         | Cell.Buf -> backtrace fanin.(0) v
         | Cell.Inv -> backtrace fanin.(0) (tv_not v)
@@ -257,9 +350,9 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
   in
   (* Decision stack: (input index, value, flipped already?). *)
   let stack = ref [] in
+  let decisions = ref 0 in
   let backtracks = ref 0 in
   let result = ref None in
-  imply ();
   while !result = None do
     if (match budget with Some b -> not (Budget.spend b) | None -> false) then
       (* Fuel or deadline gone mid-search: degrade to Aborted so the
@@ -274,26 +367,29 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
       let frontier = d_frontier () in
       let dead =
         (not (site_ok ()))
-        || (m.g.(fault.f_net) <> TX && frontier = [])
+        || (m.g.(site) <> TX && frontier = [])
         || (frontier <> [] && not (x_path_exists frontier))
       in
       let next_decision =
         if dead then None
         else
-          match objective () with
+          match objective frontier with
           | None -> None
           | Some (net, v) -> backtrace net v
       in
       match next_decision with
       | Some (i, v) ->
-          Obs.sincr c_decisions;
+          incr decisions;
+          Obs.incr c_decisions;
           assign.(i) <- v;
           stack := (i, v, false) :: !stack;
-          imply ()
+          set_input i;
+          propagate ()
       | None ->
-          (* Backtrack. *)
+          (* Backtrack: clear flipped decisions, flip the newest unflipped
+             one, then re-propagate every input that changed. *)
           incr backtracks;
-          Obs.sincr c_backtracks;
+          Obs.incr c_backtracks;
           if !backtracks > backtrack_limit then result := Some Aborted
           else begin
             let rec pop () =
@@ -302,22 +398,31 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
               | (i, v, flipped) :: rest ->
                   if flipped then begin
                     assign.(i) <- TX;
+                    set_input i;
                     stack := rest;
                     pop ()
                   end
                   else begin
                     let v' = tv_not v in
                     assign.(i) <- v';
+                    set_input i;
                     stack := (i, v', true) :: rest
                   end
             in
             pop ();
-            if !result = None then imply ()
+            if !result = None then propagate ()
           end
     end
   done;
   Obs.observe h_backtracks (float_of_int !backtracks);
-  match !result with Some r -> r | None -> assert false
+  let r = match !result with Some r -> r | None -> assert false in
+  (match r with
+  | Test _ -> Obs.incr c_outcome_test
+  | Untestable -> Obs.incr c_outcome_untestable
+  | Aborted ->
+      Obs.incr c_outcome_aborted;
+      Obs.add c_decisions_in_aborted !decisions);
+  r
 
 type stats = {
   vectors : Bitvec.t list;
@@ -376,32 +481,6 @@ let run_uncached ?(backtrack_limit = 1000) ?(random_patterns = 64) ?(seed = 42)
     match budget with None -> true | Some b -> not (Budget.exhausted b)
   in
   let determ () =
-    (* Speculative windows: [generate] is a pure function of
-       (netlist, fault, limit, scoap), so a prefix of the queue can be
-       searched in parallel and the outcomes consumed in queue order.
-       Consuming replays the sequential engine exactly — a window fault
-       collaterally dropped by an earlier Test vector is no longer at
-       the queue head when its slot comes up, and its speculative
-       outcome is simply discarded.  Since the pass limit is constant
-       within a window, surviving outcomes are the ones the serial
-       engine would have computed, so vectors/detected/redundant/
-       aborted are bit-identical at any domain count; only the wasted
-       speculation (and its decision/backtrack counters) varies. *)
-    if Netlist.gate_count nl > 0 then begin
-      (* Warm the netlist's lazily-built shared caches on the submitting
-         domain; window workers then only read them. *)
-      ignore (Netlist.comb_order nl);
-      ignore (Netlist.fanout nl 0)
-    end;
-    let window_size =
-      (* Budgeted runs stay serial: the fuse is checked inside [generate],
-         so parallel speculation would make the abort point timing-
-         dependent. *)
-      if budget <> None || Pool.size () = 1 then 1 else 4 * Pool.size ()
-    in
-    let rec take k xs =
-      if k = 0 then [] else match xs with [] -> [] | x :: tl -> x :: take (k - 1) tl
-    in
     let limit = ref (min 32 backtrack_limit) in
     let queue = ref !remaining in
     let stop = ref false in
@@ -419,43 +498,20 @@ let run_uncached ?(backtrack_limit = 1000) ?(random_patterns = 64) ?(seed = 42)
             queue := [];
             pass_on := false;
             stop := true
-        | _ ->
-            let win = Array.of_list (take window_size !queue) in
-            let outcomes =
-              if Array.length win <= 1 then
-                Array.map
-                  (fun f -> generate ~backtrack_limit:!limit ?scoap ?budget nl f)
-                  win
-              else
-                Pool.parallel_map ~chunk:1
-                  (fun f -> generate ~backtrack_limit:!limit ?scoap nl f)
-                  win
-            in
-            Array.iteri
-              (fun i f ->
-                match !queue with
-                | g :: rest when Fault.equal g f -> (
-                    queue := rest;
-                    match outcomes.(i) with
-                    | Untestable -> redundant := f :: !redundant
-                    | Aborted -> retry := f :: !retry
-                    | Test vec ->
-                        detected := f :: !detected;
-                        let extra =
-                          Fsim.run_comb nl ~vectors:[ vec ] ~faults:!queue
-                        in
-                        detected := extra @ !detected;
-                        queue :=
-                          List.filter
-                            (fun f' ->
-                              not (List.exists (Fault.equal f') extra))
-                            !queue;
-                        vectors := vec :: !vectors)
-                | _ ->
-                    (* Collaterally dropped earlier in this window; the
-                       speculative outcome is discarded. *)
-                    ())
-              win
+        | f :: rest -> (
+            queue := rest;
+            match generate ~backtrack_limit:!limit ?scoap ?budget nl f with
+            | Untestable -> redundant := f :: !redundant
+            | Aborted -> retry := f :: !retry
+            | Test vec ->
+                detected := f :: !detected;
+                let extra = Fsim.run_comb nl ~vectors:[ vec ] ~faults:!queue in
+                detected := extra @ !detected;
+                queue :=
+                  List.filter
+                    (fun f' -> not (List.exists (Fault.equal f') extra))
+                    !queue;
+                vectors := vec :: !vectors)
       done;
       if not !stop then begin
         match !retry with

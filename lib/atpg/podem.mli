@@ -27,7 +27,13 @@ val generate :
 (** [backtrack_limit] defaults to 1000.  With [scoap], backtrace prefers
     the easiest-to-control fanin and the D-frontier is explored in
     observability order.  With [budget], every decision/backtrack step
-    spends one unit; exhaustion degrades the search to [Aborted]. *)
+    spends one unit; exhaustion degrades the search to [Aborted].
+
+    Implication is event-driven: a decision or backtrack re-evaluates
+    only the fanout of the inputs it changed.  Each call counts its
+    outcome in [atpg.podem.outcome_test], [outcome_untestable] or
+    [outcome_aborted]; an aborted call also adds its decisions to
+    [atpg.podem.decisions_in_aborted]. *)
 
 type stats = {
   vectors : Bitvec.t list;

@@ -120,7 +120,11 @@ let rescue rcg ~input ~output ~solve =
   in
   attempt candidates
 
-let pairs_of rcg ~prop ~just =
+(* A rung's hardware includes every earlier rung's, so each pair of the
+   previous rung [prev] is still available: it is kept wherever this
+   rung's solutions lost that (input, output) pair or only found a
+   slower one. *)
+let pairs_of rcg ~prev ~prop ~just =
   let tbl = Hashtbl.create 16 in
   let consider input output latency sol =
     match Hashtbl.find_opt tbl (input, output) with
@@ -141,6 +145,12 @@ let pairs_of rcg ~prop ~just =
       | [ i ] -> consider i o sol.Tsearch.s_latency sol
       | _ -> ())
     just;
+  List.iter
+    (fun p ->
+      match Hashtbl.find_opt tbl (p.pr_input, p.pr_output) with
+      | Some q when q.pr_latency <= p.pr_latency -> ()
+      | _ -> Hashtbl.replace tbl (p.pr_input, p.pr_output) p)
+    prev;
   ignore rcg;
   Hashtbl.fold (fun _ p acc -> p :: acc) tbl []
   |> List.sort (fun a b ->
@@ -232,15 +242,18 @@ let generate ?(max_versions = 3) rcg =
   let overhead_with (prop, just) =
     cost_of_sols (!accumulated @ List.map snd prop @ List.map snd just)
   in
+  let last_pairs = ref [] in
   let mk index sols =
     let prop, just = sols in
+    let pairs = pairs_of rcg ~prev:!last_pairs ~prop ~just in
+    last_pairs := pairs;
     {
       v_index = index;
       v_prop = prop;
       v_just = just;
       v_overhead = overhead_with sols;
       v_added_muxes = List.rev !muxes_so_far;
-      v_pairs = pairs_of rcg ~prop ~just;
+      v_pairs = pairs;
     }
   in
   let adopt sols =

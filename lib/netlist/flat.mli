@@ -6,7 +6,8 @@
     word-parallel evaluators here are bit-identical to the original
     list/Hashtbl engine in {!Sim} but allocate nothing per call; the fault
     simulator additionally uses per-site {!cone}s so a single-fault
-    evaluation touches only the fault's combinational fanout.
+    evaluation touches only the fault's combinational fanout, and PODEM
+    uses them to bound its D-frontier and observation checks.
 
     All fields are read-only for callers.  A compiled form is safe to
     share across domains: the arrays are never written after {!of_netlist}

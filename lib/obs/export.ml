@@ -5,9 +5,6 @@ let partition registry =
     (fun (cs, gs, ts, hs) (name, entry) ->
       match entry with
       | Registry.Counter c -> ((name, Metric.value c) :: cs, gs, ts, hs)
-      (* Sharded counters export as their exact sum — the sharding is a
-         contention optimisation, not a semantic difference. *)
-      | Registry.Sharded s -> ((name, Metric.sharded_value s) :: cs, gs, ts, hs)
       | Registry.Gauge g -> (cs, (name, Metric.value g) :: gs, ts, hs)
       | Registry.Timer tm -> (cs, gs, (name, tm) :: ts, hs)
       | Registry.Histogram h -> (cs, gs, ts, (name, h) :: hs))

@@ -10,22 +10,6 @@ let value = Atomic.get
 
 let set = Atomic.set
 
-(* Sharded counter: one atomic cell per pool domain slot.  Hot-path
-   increments from inside parallel regions (PODEM decisions, fault
-   evals) land on the calling domain's own cell instead of bouncing one
-   cache line across every core; reads sum the cells, so totals are
-   exact. *)
-type sharded = int Atomic.t array
-
-let make_sharded () =
-  Array.init Socet_util.Pool.max_slots (fun _ -> Atomic.make 0)
-
-let sharded_incr s =
-  Atomic.incr (Array.unsafe_get s (Socet_util.Pool.domain_slot ()))
-
-let sharded_value s = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 s
-let sharded_reset s = Array.iter (fun c -> Atomic.set c 0) s
-
 let rec set_max g v =
   let cur = Atomic.get g in
   if v > cur && not (Atomic.compare_and_set g cur v) then set_max g v

@@ -20,18 +20,6 @@ val set : gauge -> int -> unit
 val set_max : gauge -> int -> unit
 (** Lock-free monotonic maximum (peak tracking, e.g. D-frontier size). *)
 
-type sharded
-(** A counter split into one cell per pool domain slot
-    ({!Socet_util.Pool.domain_slot}): increments from inside parallel
-    regions stay on the caller's own cache line; the value is the exact
-    sum over the cells. *)
-
-val make_sharded : unit -> sharded
-val sharded_incr : sharded -> unit
-val sharded_value : sharded -> int
-
-val sharded_reset : sharded -> unit
-
 type timer
 
 val make_timer : unit -> timer

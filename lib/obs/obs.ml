@@ -37,13 +37,6 @@ let incr c = if st.on then Metric.incr c
 let add c n = if st.on then Metric.add c n
 let value = Metric.value
 
-type sharded = Metric.sharded
-
-let sharded_counter ?(scope = "") name =
-  Registry.sharded registry (scoped scope name)
-
-let sincr s = if st.on then Metric.sharded_incr s
-
 let gauge ?(scope = "") name = Registry.gauge registry (scoped scope name)
 let set_gauge g v = if st.on then Metric.set g v
 let max_gauge g v = if st.on then Metric.set_max g v
@@ -79,10 +72,7 @@ let span_events () = st.sink.Sink.events ()
 
 let snapshot_counters () =
   List.filter_map
-    (function
-      | n, Registry.Counter c -> Some (n, Metric.value c)
-      | n, Registry.Sharded s -> Some (n, Metric.sharded_value s)
-      | _ -> None)
+    (function n, Registry.Counter c -> Some (n, Metric.value c) | _ -> None)
     (Registry.entries registry)
 
 let snapshot_gauges () =

@@ -58,18 +58,6 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
 
-type sharded = Metric.sharded
-
-val sharded_counter : ?scope:string -> string -> sharded
-(** A counter with one cell per pool domain slot
-    ({!Socet_util.Pool.domain_slot}).  Use for counters incremented
-    inside parallel regions (PODEM decisions, fault evaluations): the
-    hot-path increment stays on the calling domain's own cache line.
-    Reported everywhere (snapshots, stats table, JSON) as the exact sum
-    of the cells, under the same name rules as {!counter}. *)
-
-val sincr : sharded -> unit
-
 val gauge : ?scope:string -> string -> gauge
 val set_gauge : gauge -> int -> unit
 val max_gauge : gauge -> int -> unit

@@ -1,7 +1,6 @@
 type entry =
   | Counter of Metric.counter
   | Gauge of Metric.gauge
-  | Sharded of Metric.sharded
   | Timer of Metric.timer
   | Histogram of Histogram.t
 
@@ -16,7 +15,6 @@ let create () : t = { tbl = Hashtbl.create 64; mu = Mutex.create () }
 let kind_name = function
   | Counter _ -> "counter"
   | Gauge _ -> "gauge"
-  | Sharded _ -> "sharded counter"
   | Timer _ -> "timer"
   | Histogram _ -> "histogram"
 
@@ -49,11 +47,6 @@ let gauge t name =
     ~make:(fun () -> Gauge (Metric.make_gauge ()))
     ~extract:(function Gauge g -> Some g | _ -> None)
 
-let sharded t name =
-  find t name ~kind:"sharded counter"
-    ~make:(fun () -> Sharded (Metric.make_sharded ()))
-    ~extract:(function Sharded s -> Some s | _ -> None)
-
 let timer t name =
   find t name ~kind:"timer"
     ~make:(fun () -> Timer (Metric.make_timer ()))
@@ -76,7 +69,6 @@ let reset t =
       match entry with
       | Counter c -> Atomic.set c 0
       | Gauge g -> Atomic.set g 0
-      | Sharded s -> Metric.sharded_reset s
       | Timer tm -> Metric.timer_reset tm
       | Histogram h -> Histogram.reset h)
     t.tbl

@@ -9,7 +9,6 @@
 type entry =
   | Counter of Metric.counter
   | Gauge of Metric.gauge
-  | Sharded of Metric.sharded
   | Timer of Metric.timer
   | Histogram of Histogram.t
 
@@ -19,7 +18,6 @@ val create : unit -> t
 
 val counter : t -> string -> Metric.counter
 val gauge : t -> string -> Metric.gauge
-val sharded : t -> string -> Metric.sharded
 val timer : t -> string -> Metric.timer
 val histogram : t -> string -> Histogram.t
 

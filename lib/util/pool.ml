@@ -31,20 +31,6 @@ let size () =
       | None -> max 1 (Domain.recommended_domain_count ()))
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain slots                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* A stable small index per participating domain: 0 for the submitter,
-   1.. for the workers (assigned at spawn).  Sharded metric cells and
-   other per-domain scratch are indexed by it, so it is bounded by
-   [max_slots]; a pool larger than that aliases worker slots, which only
-   costs contention, never correctness. *)
-let max_slots = 64
-
-let slot_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
-let domain_slot () = Domain.DLS.get slot_key
-
-(* ------------------------------------------------------------------ *)
 (* Jobs and the pool                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -96,9 +82,8 @@ let signal_if_done pool j =
     Mutex.unlock pool.mu
   end
 
-let worker pool slot start_gen () =
+let worker pool start_gen () =
   Domain.DLS.set in_pool true;
-  Domain.DLS.set slot_key slot;
   let rec loop last_gen =
     Mutex.lock pool.mu;
     while (not pool.stop) && pool.gen = last_gen do
@@ -156,9 +141,7 @@ let ensure_pool () =
         }
       in
       p.workers <-
-        List.init want (fun i ->
-            let slot = 1 + (i mod (max_slots - 1)) in
-            Domain.spawn (worker p slot p.gen));
+        List.init want (fun _ -> Domain.spawn (worker p p.gen));
       current := Some p;
       p
 

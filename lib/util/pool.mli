@@ -30,18 +30,6 @@ val set_size : int -> unit
 (** Override the pool size (clamped to >= 1).  An existing pool of a
     different size is torn down and respawned on the next parallel call. *)
 
-val max_slots : int
-(** Upper bound on {!domain_slot} values (a power of two; currently 64).
-    Per-domain state indexed by slot needs exactly this many cells. *)
-
-val domain_slot : unit -> int
-(** A stable small index for the calling domain: 0 on the submitting
-    domain, [1 .. max_slots - 1] on pool workers (assigned at spawn; a
-    pool larger than [max_slots - 1] workers aliases slots, which only
-    adds contention on shared cells, never incorrect totals).  Sharded
-    metric cells ({!Socet_obs.Obs.sharded_counter}) and per-domain
-    scratch index by it. *)
-
 val chunk_size : ?chunk:int -> ?cost:float -> int -> int
 (** The work-stealing granularity the combinators below use for [n]
     items, exposed for tests and tuning.  An explicit [chunk] wins;

@@ -1,6 +1,7 @@
 open Socet_util
 open Socet_netlist
 open Socet_atpg
+module Obs = Socet_obs.Obs
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -206,6 +207,132 @@ let test_podem_run_adder () =
   check "adder fully testable" true (stats.Podem.efficiency > 99.9);
   check "coverage high" true (stats.Podem.coverage > 99.0);
   check "test set nonempty" true (stats.Podem.vectors <> [])
+
+(* The six distinct paper cores under the default flow.  Per-core
+   faults / vectors / detected / redundant / aborted and an MD5 of each
+   vector list (one [Bitvec.to_string] per line), recorded from the
+   full-resimulation engine that event-driven implication replaced: the
+   search must make the same decisions in the same order. *)
+let paper_core_golden =
+  [
+    ("PREP", Socet_cores.Preprocessor.core, (1060, 151, 986, 73, 1),
+     "3015471366e8e684df38fb6e45c2a7b5");
+    ("CPU", Socet_cores.Cpu.core, (1188, 190, 1110, 78, 0),
+     "53fc3980af9f9ff26829f3919cb0e6c0");
+    ("DISPLAY", Socet_cores.Display.core, (1516, 206, 1441, 64, 11),
+     "ebe3f8e6b742105f68b21b2e948bb038");
+    ("GFX", Socet_cores.Graphics.core, (1050, 133, 969, 80, 1),
+     "60f38a49de99ab61d8e2703aa47463e7");
+    ("GCD", Socet_cores.Gcd_core.core, (786, 103, 727, 61, 0),
+     "7f49278f275fff3a7cdbd875052e049c");
+    ("X25", Socet_cores.X25.core, (592, 95, 551, 41, 0),
+     "1d6758e6223874a6b7337fce9ccb8d3b");
+  ]
+
+let podem_counter name = Obs.value (Obs.counter ~scope:"atpg" ("podem." ^ name))
+
+(* Run [f] with metrics recording on, returning its result and the
+   change of each named PODEM counter. *)
+let with_podem_counters names f =
+  let was_on = Obs.enabled () in
+  Obs.configure ();
+  let before = List.map podem_counter names in
+  let r = Fun.protect ~finally:(fun () -> if not was_on then Obs.disable ()) f in
+  (r, List.map2 (fun name b -> podem_counter name - b) names before)
+
+let test_podem_paper_cores_golden () =
+  let (), deltas =
+    with_podem_counters [ "decisions"; "backtracks"; "budget_escalations" ]
+      (fun () ->
+        List.iter
+          (fun (name, core, (faults, vecs, det, red, ab), digest) ->
+            let nl = Socet_synth.Elaborate.core_to_netlist (core ()) in
+            let s = Podem.run ~seed:42 nl in
+            check_int (name ^ " faults") faults s.Podem.total_faults;
+            check_int (name ^ " vectors") vecs (List.length s.Podem.vectors);
+            check_int (name ^ " detected") det (List.length s.Podem.detected);
+            check_int (name ^ " redundant") red (List.length s.Podem.redundant);
+            check_int (name ^ " aborted") ab (List.length s.Podem.aborted);
+            Alcotest.(check string)
+              (name ^ " vector digest") digest
+              (Digest.to_hex
+                 (Digest.string
+                    (String.concat "\n" (List.map Bitvec.to_string s.Podem.vectors)))))
+          paper_core_golden)
+  in
+  Alcotest.(check (list int))
+    "decisions / backtracks / escalations" [ 85_664; 75_223; 209 ] deltas
+
+(* Every [generate] call ends in exactly one outcome counter. *)
+let test_podem_outcome_counters () =
+  let nl = Socet_synth.Elaborate.core_to_netlist (Socet_cores.Gcd_core.core ()) in
+  let (), deltas =
+    with_podem_counters
+      [ "faults_targeted"; "outcome_test"; "outcome_untestable"; "outcome_aborted";
+        "decisions"; "decisions_in_aborted" ]
+      (fun () -> ignore (Podem.run ~random_patterns:8 nl))
+  in
+  match deltas with
+  | [ targeted; test; untestable; aborted; decisions; in_aborted ] ->
+      check "faults targeted" true (targeted > 0);
+      check_int "outcomes sum to faults targeted" targeted (test + untestable + aborted);
+      check "aborted decisions within all decisions" true
+        (in_aborted >= 0 && in_aborted <= decisions);
+      check "no aborted decisions without aborts" true (aborted > 0 || in_aborted = 0)
+  | _ -> assert false
+
+(* A random combinational netlist: [k] <= 10 PIs, then gates over earlier
+   nets (constants included, so some faults are redundant), POs on the
+   last gate and a few random nets. *)
+let random_comb_netlist rng =
+  let nl = Netlist.create "rc" in
+  let k = 1 + Rng.int rng 10 in
+  let nets = ref (List.init k (fun i -> Netlist.add_pi nl (Printf.sprintf "i%d" i))) in
+  let pick () = List.nth !nets (Rng.int rng (List.length !nets)) in
+  let kinds =
+    [| Cell.Buf; Cell.Inv; Cell.And2; Cell.Or2; Cell.Nand2; Cell.Nor2; Cell.Xor2;
+       Cell.Xnor2; Cell.Mux2; Cell.Const0; Cell.Const1 |]
+  in
+  let ngates = 1 + Rng.int rng 40 in
+  for _ = 1 to ngates do
+    let kind = kinds.(Rng.int rng (Array.length kinds)) in
+    let arity =
+      match kind with
+      | Cell.Const0 | Cell.Const1 -> 0
+      | Cell.Buf | Cell.Inv -> 1
+      | Cell.Mux2 -> 3
+      | _ -> 2
+    in
+    let g = Netlist.add_gate nl kind (Array.init arity (fun _ -> pick ())) in
+    nets := !nets @ [ g ]
+  done;
+  let last = List.nth !nets (List.length !nets - 1) in
+  Netlist.add_po nl "y" last;
+  for j = 1 to Rng.int rng 3 do
+    Netlist.add_po nl (Printf.sprintf "o%d" j) (pick ())
+  done;
+  (nl, k)
+
+(* Independent oracle for [generate]: every test vector detects its
+   fault under fault simulation, and no fault proven untestable is
+   detected by any of the 2^k input vectors. *)
+let prop_podem_exhaustive_oracle =
+  QCheck.Test.make ~name:"podem outcomes agree with exhaustive simulation"
+    ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let nl, k = random_comb_netlist rng in
+      let scoap = if seed mod 2 = 0 then Some (Scoap.compute nl) else None in
+      let all_vectors = List.init (1 lsl k) (fun x -> Bitvec.of_int ~width:k x) in
+      List.for_all
+        (fun f ->
+          match Podem.generate ?scoap nl f with
+          | Podem.Test v -> Fsim.detects_comb nl v f
+          | Podem.Untestable ->
+              not (List.exists (fun v -> Fsim.detects_comb nl v f) all_vectors)
+          | Podem.Aborted -> true)
+        (Fault.all nl))
 
 (* ------------------------------------------------------------------ *)
 (* Compaction                                                          *)
@@ -580,6 +707,9 @@ let () =
             test_podem_every_outcome_consistent;
           Alcotest.test_case "full run small" `Quick test_podem_full_run_small;
           Alcotest.test_case "full run adder" `Quick test_podem_run_adder;
+          Alcotest.test_case "paper cores golden" `Quick test_podem_paper_cores_golden;
+          Alcotest.test_case "outcome counters" `Quick test_podem_outcome_counters;
+          QCheck_alcotest.to_alcotest prop_podem_exhaustive_oracle;
         ] );
       ( "compact",
         [

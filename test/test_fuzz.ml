@@ -62,43 +62,54 @@ let prop_hscan_marked_subgraph_acyclic =
         (Digraph.edges g);
       Socet_graph.Search.topological marked <> None)
 
+let version_ladder_ok seed =
+  let rng = Rng.create seed in
+  let core = random_core rng in
+  let rcg = Rcg.of_core core in
+  let _ = Socet_scan.Hscan.insert rcg in
+  let versions = Version.generate rcg in
+  versions <> []
+  && (* overheads strictly increase along the ladder *)
+  (let rec mono = function
+     | a :: (b :: _ as rest) ->
+         a.Version.v_overhead < b.Version.v_overhead && mono rest
+     | _ -> true
+   in
+   mono versions)
+  && (* v1 justifies every output and propagates every input *)
+  (let v1 = List.hd versions in
+   List.length v1.Version.v_just = List.length (Rcg.output_ids rcg)
+   && List.length v1.Version.v_prop = List.length (Rcg.input_ids rcg))
+  && (* pair latencies never get worse up the ladder *)
+  (let rec pairs_ok = function
+     | a :: (b :: _ as rest) ->
+         List.for_all
+           (fun (p : Version.pair) ->
+             match
+               Version.latency_between b ~input:p.Version.pr_input
+                 ~output:p.Version.pr_output
+             with
+             | Some l -> l <= p.Version.pr_latency
+             | None -> true)
+           a.Version.v_pairs
+         && pairs_ok rest
+     | _ -> true
+   in
+   pairs_ok versions)
+
 let prop_version_ladder_invariants =
   QCheck.Test.make ~name:"fuzz: version ladders monotone and complete" ~count:80
     QCheck.(int_bound 1_000_000)
+    version_ladder_ok
+
+(* Seeds whose ladders once lost a pair's faster path up the ladder (the
+   rung's fresh pairs came back slower or not at all). *)
+let test_version_ladder_regressions () =
+  List.iter
     (fun seed ->
-      let rng = Rng.create seed in
-      let core = random_core rng in
-      let rcg = Rcg.of_core core in
-      let _ = Socet_scan.Hscan.insert rcg in
-      let versions = Version.generate rcg in
-      versions <> []
-      && (* overheads strictly increase along the ladder *)
-      (let rec mono = function
-         | a :: (b :: _ as rest) ->
-             a.Version.v_overhead < b.Version.v_overhead && mono rest
-         | _ -> true
-       in
-       mono versions)
-      && (* v1 justifies every output and propagates every input *)
-      (let v1 = List.hd versions in
-       List.length v1.Version.v_just = List.length (Rcg.output_ids rcg)
-       && List.length v1.Version.v_prop = List.length (Rcg.input_ids rcg))
-      && (* pair latencies never get worse up the ladder *)
-      (let rec pairs_ok = function
-         | a :: (b :: _ as rest) ->
-             List.for_all
-               (fun (p : Version.pair) ->
-                 match
-                   Version.latency_between b ~input:p.Version.pr_input
-                     ~output:p.Version.pr_output
-                 with
-                 | Some l -> l <= p.Version.pr_latency
-                 | None -> true)
-               a.Version.v_pairs
-             && pairs_ok rest
-         | _ -> true
-       in
-       pairs_ok versions))
+      check (Printf.sprintf "seed %d ladder invariants" seed) true
+        (version_ladder_ok seed))
+    [ 454182; 21957; 131507; 487007 ]
 
 let prop_solution_latency_consistent =
   QCheck.Test.make ~name:"fuzz: reported latency equals depth-schedule max" ~count:80
@@ -263,6 +274,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_hscan_covers_everything;
           QCheck_alcotest.to_alcotest prop_hscan_marked_subgraph_acyclic;
           QCheck_alcotest.to_alcotest prop_version_ladder_invariants;
+          Alcotest.test_case "version ladder regression seeds" `Quick
+            test_version_ladder_regressions;
           QCheck_alcotest.to_alcotest prop_solution_latency_consistent;
           QCheck_alcotest.to_alcotest prop_elaboration_sound;
           QCheck_alcotest.to_alcotest prop_gate_level_transparency;

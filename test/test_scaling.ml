@@ -1,7 +1,7 @@
 (* The coarse-grained multicore contract, end to end: random SOCs pushed
    through every parallel engine — combinational and sequential fault
-   simulation, the full PODEM run (speculative-window deterministic
-   phase included) and the design-space sweep — must produce
+   simulation, the full PODEM run (its fault simulation is parallel)
+   and the design-space sweep — must produce
    byte-identical results at 1, 2 and 4 pool domains.  "Byte-identical"
    means full detected-fault lists (order included), the exact vector
    sets, and full schedule signatures — not just coverage numbers.
@@ -62,8 +62,9 @@ let prop_fsim_seq_scaling =
 
 (* The whole Podem.run result: exact vector set (content and order),
    detected/redundant/aborted partitions and the derived figures.  The
-   speculative windows of the deterministic phase must replay the serial
-   engine exactly, so everything here is domain-count-independent. *)
+   deterministic phase is serial; the random phase and every fault-
+   dropping step run on the parallel fault simulator, so everything here
+   must still be domain-count-independent. *)
 let podem_sig (s : Podem.stats) =
   ( List.map Bitvec.to_string s.Podem.vectors,
     fault_sig s.Podem.detected,
@@ -80,7 +81,7 @@ let prop_podem_scaling =
       List.for_all
         (fun nl ->
           (* Few random patterns: leave real work for the deterministic
-             phase, whose windowing is what this property gates. *)
+             phase and its per-vector fault dropping. *)
           domain_invariant (fun () ->
               podem_sig (Podem.run ~random_patterns:16 nl)))
         (soc_netlists seed))
