@@ -9,7 +9,7 @@ module Obs = Socet_obs.Obs
 let () = Budget.set_clock Socet_obs.Clock.now_us
 
 (* Observability: one counter per ladder rung, so a degraded run is
-   legible from --stats / BENCH_socet.json alone. *)
+   legible from --stats alone. *)
 let c_fallbacks = Obs.counter ~scope:"core" "resilient.fallbacks"
 let c_dalg_rescues = Obs.counter ~scope:"core" "resilient.dalg_rescues"
 let c_random_topoffs = Obs.counter ~scope:"core" "resilient.random_topoffs"

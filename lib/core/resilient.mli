@@ -23,7 +23,7 @@
     v}
 
     Every rung firing is counted in the [core.resilient.*] metrics so a
-    degraded run is visible in [--stats] and [BENCH_socet.json].
+    degraded run is visible in [--stats].
 
     Loading this module also installs {!Socet_obs.Clock.now_us} as the
     wall-clock source for {!Socet_util.Budget} deadlines — any program
