@@ -42,15 +42,6 @@ let obs_snapshot () =
 (* Parallel scaling: domain-pool sweep                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Cheapest domain count actually measured for this workload — the
-   per-engine recommendation the JSON carries (on a 1-core runner this
-   is honestly 1; speedup gates key on hw_domains instead). *)
-let argmin_domains times =
-  fst
-    (List.fold_left
-       (fun (bd, bt) (d, t) -> if t < bt then (d, t) else (bd, bt))
-       (1, infinity) times)
-
 let parallel_section () =
   section "Parallel scaling: fault simulation and design-space search";
   (* Each engine thunk returns a digest of its full result, so the sweep
@@ -76,9 +67,17 @@ let parallel_section () =
   let cpu = Soc.inst soc1 "CPU" in
   let nl = cpu.Soc.ci_netlist in
   let faults = Socet_atpg.Fault.collapse nl in
+  (* One engine call takes 0.3-5 ms, which is timer noise next to a
+     domain-count difference, so each row repeats its call: the repeat
+     counts make every row run for at least 50 ms at 1 domain on a
+     2-vCPU host.  Each fsim call gets a fresh 64-vector set and
+     simulates the full fault list, so none starts from another's
+     dropped faults. *)
+  let fsim_reps = 64 in
   let rng = Rng.create 4242 in
-  let vecs =
-    List.init 64 (fun _ -> Rng.bitvec rng (Socet_atpg.Fsim.vector_length nl))
+  let vec_sets =
+    List.init fsim_reps (fun _ ->
+        List.init 64 (fun _ -> Rng.bitvec rng (Socet_atpg.Fsim.vector_length nl)))
   in
   let digest_of v = Digest.to_hex (Digest.string (Marshal.to_string v [])) in
   let fault_sig fs =
@@ -87,37 +86,45 @@ let parallel_section () =
         (f.Socet_atpg.Fault.f_net, f.Socet_atpg.Fault.f_stuck))
       fs
   in
-  let design_space soc () =
-    digest_of
-      (List.map
-         (fun (p : Select.point) ->
-           ( p.Select.pt_choice,
-             p.Select.pt_area,
-             p.Select.pt_time,
-             p.Select.pt_schedule.Schedule.s_total_time ))
-         (Select.design_space soc))
+  let design_space reps soc =
+    ( reps,
+      fun () ->
+        digest_of
+          (List.init reps (fun _ ->
+               List.map
+                 (fun (p : Select.point) ->
+                   ( p.Select.pt_choice,
+                     p.Select.pt_area,
+                     p.Select.pt_time,
+                     p.Select.pt_schedule.Schedule.s_total_time ))
+                 (Select.design_space soc))) )
   in
   let results =
     List.map
-      (fun (name, f) -> (name, sweep f))
+      (fun (name, (reps, f)) -> (name, reps, sweep f))
       [
         ( "fsim CPU (64 vec, full fault list)",
-          fun () ->
-            digest_of (fault_sig (Socet_atpg.Fsim.run_comb nl ~vectors:vecs ~faults)) );
-        ("design space System 1", design_space soc1);
-        ("design space System 2", design_space soc2);
+          ( fsim_reps,
+            fun () ->
+              digest_of
+                (List.map
+                   (fun vectors ->
+                     fault_sig (Socet_atpg.Fsim.run_comb nl ~vectors ~faults))
+                   vec_sets) ) );
+        ("design space System 1", design_space 16 soc1);
+        ("design space System 2", design_space 200 soc2);
       ]
   in
   let speedup_4 times = List.assoc 1 times /. List.assoc 4 times in
   Ascii_table.print
     ~header:
       [
-        "engine"; "1 dom (ms)"; "2 dom (ms)"; "4 dom (ms)"; "speedup@4";
+        "engine"; "reps"; "1 dom (ms)"; "2 dom (ms)"; "4 dom (ms)"; "speedup@4";
         "identical";
       ]
     (List.map
-       (fun (name, (times, identical)) ->
-         (name
+       (fun (name, reps, (times, identical)) ->
+         (name :: string_of_int reps
          :: List.map (fun (_, t) -> Printf.sprintf "%.1f" (t *. 1000.0)) times)
          @ [
              Printf.sprintf "%.2fx" (speedup_4 times);
@@ -125,27 +132,14 @@ let parallel_section () =
            ])
        results);
   Printf.printf
-    "(identical = result digests match across 1/2/4 domains; this machine\n\
-     has %d hardware domains)\n"
+    "(times are for all reps of a row; identical = result digests match\n\
+     across 1/2/4 domains; this machine has %d hardware domains)\n"
     (Domain.recommended_domain_count ());
-  (* Overall recommendation: the domain count with the lowest summed wall
-     time across the swept engines, recomputed from this run's
-     measurements — not a pinned hardware guess.  hw_domains is what the
-     machine offers; the CI speedup gates only apply when it is high
-     enough to scale. *)
-  let summed =
-    List.fold_left
-      (fun acc (_, (times, _)) ->
-        List.map (fun (d, t) -> (d, t +. List.assoc d times)) acc)
-      [ (1, 0.0); (2, 0.0); (4, 0.0) ]
-      results
-  in
   ( "parallel",
     Json.Obj
       (("hw_domains", int (Domain.recommended_domain_count ()))
-      :: ("recommended_domains", int (argmin_domains summed))
       :: List.map
-           (fun (name, (times, identical)) ->
+           (fun (name, _, (times, identical)) ->
              ( name,
                Json.Obj
                  (List.map
@@ -154,7 +148,6 @@ let parallel_section () =
                     times
                  @ [
                      ("speedup_4", Json.Num (speedup_4 times));
-                     ("recommended_domains", int (argmin_domains times));
                      ("byte_identical", flag identical);
                    ]) ))
            results) )

@@ -142,10 +142,10 @@ let cache_arg =
     & opt (some string) None
     & info [ "cache" ] ~docv:"DIR"
         ~doc:
-          "Persist expensive results (ATPG vector sets, access routes, \
-           TAM schedules) in a content-addressed store under $(docv), \
-           created if missing.  Cached results are byte-identical to \
-           recomputation; the store is bounded \
+          "Persist per-core ATPG results (vector sets, fault lists) in \
+           a content-addressed store under $(docv), created if missing. \
+           Cached results are byte-identical to recomputation; the \
+           store is bounded \
            ($(b,SOCET_CACHE_LIMIT_MB), default 256) and LRU-evicted, \
            and a corrupt entry reads as a miss, never a failure.")
 
@@ -487,8 +487,8 @@ let plan_both soc width =
 (* A functional-but-equivalent netlist edit to the first core: an
    inverter pair spliced into its first primary output.  The logic
    function is unchanged, the structure is not — exactly the edit whose
-   blast radius the incremental story bounds (its own ATPG and the TAM
-   schedule recompute; every other core's ATPG is reused). *)
+   blast radius the incremental story bounds (its own ATPG recomputes;
+   every other core's ATPG is reused). *)
 let edit_first_core soc =
   match soc.Soc.insts with
   | [] -> ()

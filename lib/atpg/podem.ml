@@ -532,18 +532,19 @@ let run_uncached ?(backtrack_limit = 1000) ?(random_patterns = 64) ?(seed = 42)
   in
   (* Re-measure against the full fault list: compaction keeps the coverage
      of the deterministic run, and the kept vectors may collaterally catch
-     faults the search had to abort on. *)
+     faults the search had to abort on, or even ones it called untestable
+     (the search's [Untestable] is not sound on every netlist).  A fault
+     the final vectors detect is detected, whatever the search said. *)
   let final_detected = Fsim.run_comb nl ~vectors:final_vectors ~faults in
-  let aborted =
-    List.filter
-      (fun f -> not (List.exists (Fault.equal f) final_detected))
-      !aborted
+  let undetected =
+    List.filter (fun f -> not (List.exists (Fault.equal f) final_detected))
   in
-  let ndet = List.length final_detected and nred = List.length !redundant in
+  let redundant = undetected !redundant and aborted = undetected !aborted in
+  let ndet = List.length final_detected and nred = List.length redundant in
   {
     vectors = final_vectors;
     detected = final_detected;
-    redundant = !redundant;
+    redundant;
     aborted;
     total_faults = total;
     coverage = (if total = 0 then 0.0 else 100.0 *. float_of_int ndet /. float_of_int total);
@@ -554,7 +555,8 @@ let run_uncached ?(backtrack_limit = 1000) ?(random_patterns = 64) ?(seed = 42)
 
 (* The public entry: serve the whole stats record from the persistent
    cache when one is active and the run is un-budgeted.  The namespace
-   version ("podem1") pins the marshaled [stats] shape; the key pins the
+   version ("podem2") pins the marshaled [stats] shape and contents (bumped
+   when [redundant] stopped listing detected faults); the key pins the
    netlist content and every parameter above.  A cached record is the
    bit-for-bit result of an identical cold run, so callers (vector
    counts, schedule periods, coverage tables) cannot observe the
@@ -565,7 +567,7 @@ let run ?(backtrack_limit = 1000) ?(random_patterns = 64) ?(seed = 42)
   | Some _ ->
       run_uncached ~backtrack_limit ~random_patterns ~seed ~use_scoap ?budget nl
   | None when Cache.enabled () ->
-      Cache.memo ~ns:"podem1"
+      Cache.memo ~ns:"podem2"
         ~key:(cache_key ~backtrack_limit ~random_patterns ~seed ~use_scoap nl)
         (fun () ->
           run_uncached ~backtrack_limit ~random_patterns ~seed ~use_scoap nl)

@@ -39,6 +39,8 @@ type stats = {
   vectors : Bitvec.t list;
   detected : Fault.t list;
   redundant : Fault.t list;
+      (** [Untestable] verdicts the final vectors do not detect;
+          disjoint from [detected], as is [aborted]. *)
   aborted : Fault.t list;
   total_faults : int;
   coverage : float;    (** detected / total, percent *)

@@ -15,10 +15,10 @@ let with_store s f =
   Atomic.set active s;
   Fun.protect ~finally:(fun () -> Atomic.set active prev) f
 
-let open_dir ?limit_bytes dir = Store.open_store ?limit_bytes dir
+let open_dir dir = Store.open_store dir
 
-let activate_dir ?limit_bytes dir =
-  match Store.open_store ?limit_bytes dir with
+let activate_dir dir =
+  match Store.open_store dir with
   | Ok s ->
       Atomic.set active (Some s);
       Ok ()
@@ -30,7 +30,7 @@ let activate_dir ?limit_bytes dir =
 
 (* Values cross processes via Marshal.  This is type-safe only by
    convention: every namespace string embeds a format version (e.g.
-   "podem1"), bumped whenever the marshaled type changes shape, so a
+   "podem2"), bumped whenever the marshaled type changes shape, so a
    store written by an older build can only ever produce misses — the
    namespace is part of both the entry path and the verified entry
    header.  [Compat_32] keeps entries portable across word sizes. *)
@@ -81,6 +81,3 @@ let memo ~ns ~key f =
 
 let scoreboard = Metrics.scoreboard
 let reset_scoreboard = Metrics.reset_scoreboard
-
-let bytes_used () =
-  match Atomic.get active with None -> 0 | Some s -> Store.bytes_used s

@@ -1,23 +1,20 @@
 (** Content-addressed persistent result cache — the engine-facing facade
     (DESIGN.md §16).
 
-    Engines key their expensive artifacts by canonical content hashes
-    and call {!memo} with a namespace and key.  Two namespaces exist:
-    [podem1] (per-core ATPG, keyed by {!Socet_netlist.Structhash} plus
-    engine parameters) and [tamsched1] (whole TAM schedules, keyed by
-    the SOC's content hash plus TAM width).  Access routes and version
-    ladders are never stored.  The CLI and the serve dispatcher decide
-    {e whether} a store is active ([--cache DIR], the wire protocol's
-    cache field).  With no active
-    store every entry point is a no-op, so un-cached runs pay one atomic
-    load per hook.
+    One namespace exists: [podem2], per-core ATPG results keyed by
+    {!Socet_netlist.Structhash} plus the engine parameters.  That is the
+    only expensive artifact; chip-level plans (CCG schedules, TAM
+    schedules, access routes, version ladders) are cheap to rebuild
+    from it and are never stored.  The CLI and the serve dispatcher
+    decide {e whether} a store is active ([--cache DIR], the wire
+    protocol's cache field).  With no active store every entry point is
+    a no-op, so un-cached runs pay one atomic load per hook.
 
     Contract: a cached artifact is byte-identical to what the engine
-    would recompute — namespaces embed a format version, keys pin every
-    input that can influence the result, and the replay oracles
-    ({!Socet_core.Replay}, {!Socet_tam.Replay}) keep running against
-    cached results.  Observability: [cache.{hits,misses,stores,
-    evictions}] counters and the [cache.bytes] gauge. *)
+    would recompute — namespaces embed a format version, and keys pin
+    every input that can influence the result.  Observability:
+    [cache.{hits,misses,stores,evictions}] counters and the
+    [cache.bytes] gauge. *)
 
 val enabled : unit -> bool
 
@@ -25,11 +22,9 @@ val with_store : Store.t option -> (unit -> 'a) -> 'a
 (** Run the thunk with the given store active, restoring the previous
     one after — the serve dispatcher's per-request scoping. *)
 
-val open_dir :
-  ?limit_bytes:int -> string -> (Store.t, Socet_util.Error.t) result
+val open_dir : string -> (Store.t, Socet_util.Error.t) result
 
-val activate_dir :
-  ?limit_bytes:int -> string -> (unit, Socet_util.Error.t) result
+val activate_dir : string -> (unit, Socet_util.Error.t) result
 (** {!open_dir}, then make the store active for the rest of the
     process: the CLI's [--cache DIR] validation
     (create-if-missing, reject unwritable — structured error, exit 3). *)
@@ -52,6 +47,3 @@ val scoreboard : unit -> (string * int * int) list
     report. *)
 
 val reset_scoreboard : unit -> unit
-
-val bytes_used : unit -> int
-(** Tracked size of the active store (0 without one). *)

@@ -41,8 +41,6 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.st_mu) f
 
 let bytes_used t = locked t (fun () -> !(t.st_bytes))
-let dir t = t.st_dir
-let limit_bytes t = t.st_limit
 
 (* ------------------------------------------------------------------ *)
 (* Opening: create-if-missing, reject unwritable, index what's there   *)

@@ -18,15 +18,13 @@
 
 type t
 
-val default_limit_bytes : int
-(** 256 MiB, overridable via [SOCET_CACHE_LIMIT_MB]. *)
-
 val open_store :
   ?limit_bytes:int -> string -> (t, Socet_util.Error.t) result
-(** Open (creating if missing) a store rooted at the directory.  Fails
-    with a structured [Validation] error — the CLI's documented exit
-    code 3 — when the path exists but is not a directory, cannot be
-    created, or is not writable. *)
+(** Open (creating if missing) a store rooted at the directory, bounded
+    by [limit_bytes] (default 256 MiB, overridable via
+    [SOCET_CACHE_LIMIT_MB]).  Fails with a structured [Validation]
+    error — the CLI's documented exit code 3 — when the path exists but
+    is not a directory, cannot be created, or is not writable. *)
 
 val find : t -> ns:string -> key:string -> string option
 (** The payload stored under (ns, key), or [None] on absence or any
@@ -39,6 +37,3 @@ val store : t -> ns:string -> key:string -> string -> unit
 
 val bytes_used : t -> int
 (** Tracked total entry bytes (this process's view). *)
-
-val dir : t -> string
-val limit_bytes : t -> int

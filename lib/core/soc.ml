@@ -29,19 +29,6 @@ type t = {
   memories : memory list;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Content hashes (DESIGN.md §16)                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* A core's RTL identity is its complete rendering: ports, registers and
-   transfers in declaration order.  Everything instantiate derives (RCG,
-   HSCAN, versions, netlist, ATPG) is a pure function of this text; it
-   enters [content_hash], the key of whole-design results. *)
-let core_hash core =
-  Digest.to_hex (Digest.string (Format.asprintf "%a" Rtl_core.pp core))
-
-let rtl_hash ci = core_hash ci.ci_core
-
 let instantiate ?(atpg_seed = 42) ci_name core =
   let rcg = Rcg.of_core core in
   let hscan = Hscan.insert rcg in
@@ -216,20 +203,21 @@ let skeleton_hash soc =
     soc.memories;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let netlist_hash ci = Structhash.netlist ci.ci_netlist
-
-(* Skeleton plus full core contents: the identity of the whole design,
-   under which complete chip-level results (TAM schedules) persist.
-   Both the RTL and the elaborated netlist hash in: the netlist is
-   normally a pure function of the RTL, but a direct netlist edit (the
-   diff-test scenario) changes test sets without changing the RTL
-   rendering, and chip-level results must see that. *)
+(* Skeleton plus full core contents: the identity of the whole design.
+   A core's RTL identity is its complete rendering (ports, registers,
+   transfers in declaration order).  The elaborated netlist hashes in
+   too: it is normally a pure function of the RTL, but a direct netlist
+   edit (the diff-test scenario) changes test sets without changing the
+   RTL rendering. *)
 let content_hash soc =
   let b = Buffer.create 512 in
   Buffer.add_string b (skeleton_hash soc);
   List.iter
     (fun ci ->
+      let rtl = Format.asprintf "%a" Rtl_core.pp ci.ci_core in
       Buffer.add_string b
-        (Printf.sprintf "\n%s %s %s" ci.ci_name (rtl_hash ci) (netlist_hash ci)))
+        (Printf.sprintf "\n%s %s %s" ci.ci_name
+           (Digest.to_hex (Digest.string rtl))
+           (Structhash.netlist ci.ci_netlist)))
     soc.insts;
   Digest.to_hex (Digest.string (Buffer.contents b))

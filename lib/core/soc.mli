@@ -81,30 +81,14 @@ val hscan_area_overhead : t -> int
 val driver_of : t -> string -> string -> endpoint_ref option
 (** [driver_of soc inst port]: what drives this core input. *)
 
-(** {2 Content hashes}
-
-    Canonical identities for the persistent result cache (DESIGN.md
-    §16), which keys whole-design TAM schedules by {!content_hash}.
-    All are hex MD5 strings over deterministic renderings. *)
-
-val core_hash : Rtl_core.t -> string
-(** Identity of a core's complete RTL (ports, registers, transfers in
-    declaration order) — one component of {!content_hash}. *)
-
-val rtl_hash : core_inst -> string
-(** [core_hash] of the instance's core. *)
-
-val skeleton_hash : t -> string
-(** The SOC's wiring shape with cores opaque: chip pins, instance/port
-    order, connections, memories — one component of {!content_hash}. *)
-
-val netlist_hash : core_inst -> string
-(** {!Socet_netlist.Structhash.netlist} of the instance's elaborated
-    netlist: rename- and reorder-invariant, functional-edit-sensitive. *)
+(** {2 Content hash} *)
 
 val content_hash : t -> string
-(** [skeleton_hash] plus every instance's [rtl_hash] {e and}
-    [netlist_hash] — the identity of the whole design, keying chip-level
-    cached results.  The netlist hashes in separately because a direct
-    netlist edit changes test sets without changing the RTL
-    rendering. *)
+(** Hex MD5 identity of the whole design: the SOC's wiring shape with
+    cores opaque (chip pins, instance/port order, connections,
+    memories), plus every instance's full RTL rendering {e and}
+    {!Socet_netlist.Structhash.netlist} of its elaborated netlist.  The
+    netlist hashes in separately because a direct netlist edit changes
+    test sets without changing the RTL rendering.  No result is keyed
+    by it: the persistent cache stores only per-core ATPG, keyed by the
+    netlist hash alone (DESIGN.md §16). *)

@@ -3,7 +3,6 @@
 
 module Soc = Socet_core.Soc
 module Obs = Socet_obs.Obs
-module Cache = Socet_cache.Cache
 module Budget = Socet_util.Budget
 module Interval_set = Socet_util.Interval_set
 module Ascii_table = Socet_util.Ascii_table
@@ -206,7 +205,9 @@ let improve ?budget ~tam_width ~cands rects placements makespan =
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let build_uncached ?budget ~width soc =
+let build ?budget ?(width = default_width) soc =
+  if width < 1 then invalid_arg "Tam.Schedule.build: width < 1";
+  Obs.with_span ~cat:"tam" "schedule.build" @@ fun () ->
   let cands =
     List.map
       (fun ci -> (ci.Soc.ci_name, Alloc.candidates ci ~max_width:width))
@@ -250,23 +251,6 @@ let build_uncached ?budget ~width soc =
     t_improve_steps = steps;
     t_improve_gain = makespan - final;
   }
-
-(* A TAM schedule is plain immutable data and a pure function of the
-   SOC's content and the TAM width (the improve pass runs on its default
-   deterministic fuel when no budget is given), so whole schedules
-   persist under (content hash, width).  A warm hit skips wrapper
-   candidate generation and therefore the per-core ATPG force; the
-   backend's replay oracle still checks the result.  Budgeted builds
-   bypass the cache: truncation makes the result history-dependent. *)
-let build ?budget ?(width = default_width) soc =
-  if width < 1 then invalid_arg "Tam.Schedule.build: width < 1";
-  Obs.with_span ~cat:"tam" "schedule.build" @@ fun () ->
-  match budget with
-  | None when Cache.enabled () ->
-      Cache.memo ~ns:"tamsched1"
-        ~key:(Printf.sprintf "%s|w=%d" (Soc.content_hash soc) width)
-        (fun () -> build_uncached ~width soc)
-  | _ -> build_uncached ?budget ~width soc
 
 let render t =
   let rows =
