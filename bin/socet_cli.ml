@@ -93,9 +93,6 @@ let with_obs opts run =
     | Err.Socet_error e ->
         prerr_endline (Err.to_string e);
         Err.exit_code e
-    | Socet_util.Budget.Exhausted_exn label ->
-        Printf.eprintf "socet: budget %s exhausted\n" label;
-        exit_exhausted
     | Stack_overflow | Out_of_memory | Sys.Break as e -> raise e
     | e ->
         (* Last line of defence behind Error.guard: an escaping exception

@@ -1,5 +1,6 @@
 open Socet_util
 open Socet_netlist
+open Dcalc
 module Obs = Socet_obs.Obs
 
 let c_faults = Obs.counter ~scope:"atpg" "dalg.faults_targeted"
@@ -10,13 +11,14 @@ let h_frontier = Obs.histogram ~scope:"atpg" "dalg.d_frontier_size"
 type outcome = Test of Bitvec.t | Untestable | Aborted
 
 (* Composite five-valued logic: value in the good machine / faulty
-   machine. *)
+   machine.  Cubes and assignments speak it; the search state is the two
+   planes of a {!Dcalc.machine}, kept normalized — a pair with an X on
+   either side is stored as (X, X) — so every stored pair is one of these
+   five values. *)
 type v5 = Zero | One | D | Db | X
 
-type tri = T0 | T1 | TX
-
-let good = function Zero -> T0 | One -> T1 | D -> T1 | Db -> T0 | X -> TX
-let faulty = function Zero -> T0 | One -> T1 | D -> T0 | Db -> T1 | X -> TX
+let good = function Zero | Db -> T0 | One | D -> T1 | X -> TX
+let faulty = function Zero | D -> T0 | One | Db -> T1 | X -> TX
 
 let compose g f =
   match (g, f) with
@@ -26,17 +28,6 @@ let compose g f =
   | T0, T1 -> Db
   | TX, _ | _, TX -> X
 
-let t_not = function T0 -> T1 | T1 -> T0 | TX -> TX
-
-let t_and a b =
-  match (a, b) with T0, _ | _, T0 -> T0 | T1, T1 -> T1 | _ -> TX
-
-let t_or a b = t_not (t_and (t_not a) (t_not b))
-let t_xor a b = match (a, b) with TX, _ | _, TX -> TX | x, y -> if x = y then T0 else T1
-
-let t_mux s a b =
-  match s with T0 -> a | T1 -> b | TX -> if a = b && a <> TX then a else TX
-
 let neg = function Zero -> One | One -> Zero | D -> Db | Db -> D | X -> X
 
 exception Conflict
@@ -44,118 +35,61 @@ exception Give_up
 
 let generate ?(decision_limit = 20_000) ?budget nl (fault : Fault.t) =
   Obs.incr c_faults;
-  let n = Netlist.gate_count nl in
-  let v = Array.make n X in
   let flat = Flat.of_netlist nl in
-  let order = flat.Flat.order in
-  let is_input g =
-    match Netlist.kind nl g with
-    | Cell.Pi | Cell.Dff | Cell.Dffe | Cell.Sdff | Cell.Sdffe | Cell.Const0
-    | Cell.Const1 ->
-        true
-    | _ -> false
-  in
-  let stuck_tri = if fault.f_stuck then T1 else T0 in
-  (* Forward evaluation of one gate from current values, with the fault
-     site's faulty plane pinned to the stuck value. *)
-  let eval_raw g =
-    let f = Netlist.fanin nl g in
-    let per_plane proj =
-      let i k = proj v.(f.(k)) in
-      match Netlist.kind nl g with
-      | Cell.Pi | Cell.Dff | Cell.Dffe | Cell.Sdff | Cell.Sdffe -> proj v.(g)
-      | Cell.Const0 -> T0
-      | Cell.Const1 -> T1
-      | Cell.Buf -> i 0
-      | Cell.Inv -> t_not (i 0)
-      | Cell.And2 -> t_and (i 0) (i 1)
-      | Cell.Nand2 -> t_not (t_and (i 0) (i 1))
-      | Cell.Or2 -> t_or (i 0) (i 1)
-      | Cell.Nor2 -> t_not (t_or (i 0) (i 1))
-      | Cell.Xor2 -> t_xor (i 0) (i 1)
-      | Cell.Xnor2 -> t_not (t_xor (i 0) (i 1))
-      | Cell.Mux2 -> t_mux (i 0) (i 1) (i 2)
-    in
-    compose (per_plane good) (per_plane faulty)
-  in
-  let eval_net g =
-    let raw = eval_raw g in
-    if g = fault.f_net then compose (good raw) stuck_tri else raw
+  let kinds = flat.Flat.kinds and order = flat.Flat.order in
+  let m = Dcalc.create flat.Flat.n in
+  let site = fault.f_net in
+  let stuck = tv_of_bool fault.f_stuck in
+  (* Only the site's combinational fanout can carry a D (cubes assign
+     plain values), so the frontier and observation checks scan the fault
+     cone alone. *)
+  let cone, _ = Flat.cone flat site in
+  let value g = compose m.g.(g) m.f.(g) in
+  (* Forward evaluation of net [g] from current values, with the fault
+     site's faulty plane pinned to the stuck value.  A source (PI,
+     flip-flop, constant) evaluates to the value it holds. *)
+  let eval g =
+    compose (eval_tv flat m.g g) (if g = site then stuck else eval_tv flat m.f g)
   in
   (* Assignment trail for chronological backtracking. *)
   let trail = ref [] in
-  let assign g value =
-    if v.(g) = X then begin
-      v.(g) <- value;
+  let assign g x =
+    if m.g.(g) = TX then begin
+      m.g.(g) <- good x;
+      m.f.(g) <- faulty x;
       trail := g :: !trail
     end
-    else if v.(g) <> value then raise Conflict
+    else if value g <> x then raise Conflict
   in
   let mark () = List.length !trail in
-  let undo_to m =
-    while List.length !trail > m do
+  let undo_to mk =
+    while List.length !trail > mk do
       match !trail with
       | g :: rest ->
-          v.(g) <- X;
+          m.g.(g) <- TX;
+          m.f.(g) <- TX;
           trail := rest
       | [] -> ()
     done
   in
-  (* Forward implication to fixpoint. *)
+  (* Forward implication: one sweep in topological order.  A gate reads
+     only sources, which evaluate to what they hold and so never change,
+     and gates evaluated earlier in the same sweep, so its inputs are
+     final when it is reached; a second sweep would evaluate every net to
+     the value it already holds, and could neither assign nor detect a
+     conflict. *)
   let imply () =
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      Array.iter
-        (fun g ->
-          if not (is_input g) then begin
-            let value = eval_net g in
-            if value <> X then
-              if v.(g) = X then begin
-                assign g value;
-                changed := true
-              end
-              else if v.(g) <> value then raise Conflict
-          end)
-        order
-    done
+    Array.iter (fun g -> match eval g with X -> () | x -> assign g x) order
   in
-  (* Observation: a composite error at a PO or a flip-flop capture. *)
-  let capture ff =
-    let f = Netlist.fanin nl ff in
-    let plane proj =
-      let i k = proj v.(f.(k)) in
-      match Netlist.kind nl ff with
-      | Cell.Dff -> i 0
-      | Cell.Dffe -> t_mux (i 1) (proj v.(ff)) (i 0)
-      | Cell.Sdff -> t_mux (i 2) (i 0) (i 1)
-      | Cell.Sdffe -> t_mux (i 3) (t_mux (i 1) (proj v.(ff)) (i 0)) (i 2)
-      | _ -> X |> good
-    in
-    compose (plane good) (plane faulty)
-  in
-  let observed () =
-    Array.exists (fun net -> v.(net) = D || v.(net) = Db) flat.Flat.pos_net
-    || Array.exists
-         (fun ff ->
-           match capture ff with D | Db -> true | _ -> false)
-         flat.Flat.dffs
-  in
-  (* J-frontier: assigned gate outputs not yet implied by their inputs.
-     The fault site is justified when the good plane of its driver's
-     evaluation matches the activation value. *)
-  let site_justified () =
-    if is_input fault.f_net then true
-    else good (eval_raw fault.f_net) = t_not stuck_tri
-  in
+  (* J-frontier: assigned gate outputs not yet implied by their inputs
+     (an assigned source implies itself).  The fault site is justified
+     when the good plane of its evaluation matches the activation value;
+     its inputs lie outside its cone, where the planes agree, so the good
+     plane alone decides. *)
+  let site_justified () = eval_tv flat m.g site = tv_not stuck in
   let j_frontier () =
     List.filter
-      (fun g ->
-        (not (is_input g))
-        && v.(g) <> X
-        &&
-        if g = fault.f_net then not (site_justified ())
-        else eval_raw g = X)
+      (fun g -> if g = site then not (site_justified ()) else eval g = X)
       (List.rev !trail)
   in
   (* Singular covers: alternative input cubes justifying [value] at a
@@ -186,14 +120,7 @@ let generate ?(decision_limit = 20_000) ?budget nl (fault : Fault.t) =
   (* D-frontier: gates whose output is X with an error on some input, and
      the side assignments that drive the error through. *)
   let d_frontier () =
-    let frontier =
-      List.filter
-        (fun g ->
-          (not (is_input g))
-          && v.(g) = X
-          && Array.exists (fun p -> v.(p) = D || v.(p) = Db) (Netlist.fanin nl g))
-        (Array.to_list order)
-    in
+    let frontier = Dcalc.d_frontier flat cone m in
     let n = List.length frontier in
     Obs.observe h_frontier (float_of_int n);
     Obs.max_gauge g_frontier_peak n;
@@ -205,20 +132,19 @@ let generate ?(decision_limit = 20_000) ?budget nl (fault : Fault.t) =
     match Netlist.kind nl g with
     | Cell.Buf | Cell.Inv -> [ [] ]
     | Cell.And2 | Cell.Nand2 ->
-        if v.(f.(0)) = D || v.(f.(0)) = Db then [ [ side 1 One ] ]
+        if is_d m f.(0) then [ [ side 1 One ] ]
         else [ [ side 0 One ] ]
     | Cell.Or2 | Cell.Nor2 ->
-        if v.(f.(0)) = D || v.(f.(0)) = Db then [ [ side 1 Zero ] ]
+        if is_d m f.(0) then [ [ side 1 Zero ] ]
         else [ [ side 0 Zero ] ]
     | Cell.Xor2 | Cell.Xnor2 ->
-        if v.(f.(0)) = D || v.(f.(0)) = Db then
-          [ [ side 1 Zero ]; [ side 1 One ] ]
+        if is_d m f.(0) then [ [ side 1 Zero ]; [ side 1 One ] ]
         else [ [ side 0 Zero ]; [ side 0 One ] ]
     | Cell.Mux2 ->
-        if v.(f.(0)) = D || v.(f.(0)) = Db then
+        if is_d m f.(0) then
           (* Error on the select: the data inputs must differ. *)
           [ [ side 1 Zero; side 2 One ]; [ side 1 One; side 2 Zero ] ]
-        else if v.(f.(1)) = D || v.(f.(1)) = Db then [ [ side 0 Zero ] ]
+        else if is_d m f.(1) then [ [ side 0 Zero ] ]
         else [ [ side 0 One ] ]
     | _ -> []
   in
@@ -232,71 +158,35 @@ let generate ?(decision_limit = 20_000) ?budget nl (fault : Fault.t) =
     | _ -> ()
   in
   let rec solve () =
-    match (try imply (); None with Conflict -> Some ()) with
-    | Some () -> false
-    | None ->
-        if observed () && j_frontier () = [] && site_justified () then true
-        else if not (observed ()) then begin
-          match d_frontier () with
-          | [] -> false
-          | frontier ->
-              List.exists
-                (fun g ->
-                  List.exists
-                    (fun cube ->
-                      bump ();
-                      let m = mark () in
-                      match
-                        (try
-                           List.iter (fun (p, value) -> assign p value) cube;
-                           (* Also claim the output so the frontier moves. *)
-                           imply ();
-                           None
-                         with Conflict -> Some ())
-                      with
-                      | Some () ->
-                          undo_to m;
-                          false
-                      | None ->
-                          if solve () then true
-                          else begin
-                            undo_to m;
-                            false
-                          end)
-                    (drive_cubes g))
-                frontier
-        end
-        else begin
-          (* Error observed: discharge one justification obligation. *)
+    match imply () with
+    | exception Conflict -> false
+    | () ->
+        if observable_d flat cone m then
+          (* Error observed: discharge the first justification obligation.
+             The site is on the trail from activation on, so an empty
+             J-frontier means it is justified too. *)
           match j_frontier () with
-          | [] -> false
+          | [] -> true
           | g :: _ ->
               let target =
-                if g = fault.f_net then
-                  if stuck_tri = T0 then One else Zero
-                else v.(g)
+                if g = site then if fault.f_stuck then Zero else One
+                else value g
               in
-              List.exists
-                (fun cube ->
-                  bump ();
-                  let m = mark () in
-                  match
-                    (try
-                       List.iter (fun (p, value) -> assign p value) cube;
-                       None
-                     with Conflict -> Some ())
-                  with
-                  | Some () ->
-                      undo_to m;
-                      false
-                  | None ->
-                      if solve () then true
-                      else begin
-                        undo_to m;
-                        false
-                      end)
-                (cubes g target)
-        end
+              List.exists try_cube (cubes g target)
+        else
+          (* Drive the error through one frontier gate; the implication
+             that starts the next step claims the gate's output. *)
+          List.exists (fun g -> List.exists try_cube (drive_cubes g)) (d_frontier ())
+  (* Assign one cube and search on; undo it if that fails. *)
+  and try_cube cube =
+    bump ();
+    let mk = mark () in
+    (match List.iter (fun (p, x) -> assign p x) cube with
+    | () -> solve ()
+    | exception Conflict -> false)
+    ||
+    (undo_to mk;
+     false)
   in
   (* Activation.  Constants are pinned first so no cube can "justify" a
      value by writing onto a tied-off net. *)
@@ -305,12 +195,10 @@ let generate ?(decision_limit = 20_000) ?budget nl (fault : Fault.t) =
     try
       Array.iter
         (fun g ->
-          match Netlist.kind nl g with
-          | Cell.Const0 -> assign g Zero
-          | Cell.Const1 -> assign g One
-          | _ -> ())
+          if kinds.(g) = Flat.k_const0 then assign g Zero
+          else if kinds.(g) = Flat.k_const1 then assign g One)
         order;
-      assign fault.f_net activation;
+      assign site activation;
       if solve () then `Test else `No_test
     with
     | Give_up -> `Abort
@@ -323,10 +211,10 @@ let generate ?(decision_limit = 20_000) ?budget nl (fault : Fault.t) =
       let npi = Array.length flat.Flat.pis in
       let vec = Bitvec.create (npi + Array.length flat.Flat.dffs) in
       Array.iteri
-        (fun i net -> if good v.(net) = T1 then Bitvec.set vec i true)
+        (fun i net -> if m.g.(net) = T1 then Bitvec.set vec i true)
         flat.Flat.pis;
       Array.iteri
-        (fun i net -> if good v.(net) = T1 then Bitvec.set vec (npi + i) true)
+        (fun i net -> if m.g.(net) = T1 then Bitvec.set vec (npi + i) true)
         flat.Flat.dffs;
       Test vec
 

@@ -3,8 +3,9 @@
     an observation point through D-frontier choices while a J-frontier of
     pending line justifications is discharged through the gates' singular
     covers.  Both engines work on the same full-scan combinational test
-    model, so their outcomes are directly comparable (the test suite
-    cross-checks them fault by fault). *)
+    model and the same five-valued machine ({!Dcalc}), so their outcomes
+    are directly comparable (the test suite cross-checks them fault by
+    fault). *)
 
 open Socet_util
 open Socet_netlist

@@ -2,6 +2,7 @@ open Socet_util
 open Socet_netlist
 module Obs = Socet_obs.Obs
 module Cache = Socet_cache.Cache
+open Dcalc
 
 (* Observability: PODEM's effort is dominated by its decision/backtrack
    loop, so those are the counters every perf PR will watch. *)
@@ -26,70 +27,6 @@ let c_decisions_in_aborted = Obs.counter ~scope:"atpg" "podem.decisions_in_abort
 
 type outcome = Test of Bitvec.t | Untestable | Aborted
 
-(* Ternary values: 0, 1, X. *)
-type tv = T0 | T1 | TX
-
-let tv_not = function T0 -> T1 | T1 -> T0 | TX -> TX
-
-let tv_and a b =
-  match (a, b) with
-  | T0, _ | _, T0 -> T0
-  | T1, T1 -> T1
-  | _ -> TX
-
-let tv_or a b =
-  match (a, b) with
-  | T1, _ | _, T1 -> T1
-  | T0, T0 -> T0
-  | _ -> TX
-
-let tv_xor a b =
-  match (a, b) with
-  | TX, _ | _, TX -> TX
-  | x, y -> if x = y then T0 else T1
-
-let tv_mux s a b =
-  match s with
-  | T0 -> a
-  | T1 -> b
-  | TX -> if a = b && a <> TX then a else TX
-
-let tv_of_bool b = if b then T1 else T0
-
-(* The five-valued machine state: good and faulty ternary value per net. *)
-type machine = { g : tv array; f : tv array }
-
-(* Ternary value of gate [g] over the values [v], on the flat form's kind
-   codes (see [Flat.k_*]).  Sources — PIs and flip-flops — hold the value
-   already loaded into [v]. *)
-let eval_tv (fl : Flat.t) v g =
-  let b = fl.Flat.fanin_off.(g) and fi = fl.Flat.fanin in
-  match fl.Flat.kinds.(g) with
-  | 1 -> T0
-  | 2 -> T1
-  | 3 -> v.(fi.(b))
-  | 4 -> tv_not v.(fi.(b))
-  | 5 -> tv_and v.(fi.(b)) v.(fi.(b + 1))
-  | 6 -> tv_or v.(fi.(b)) v.(fi.(b + 1))
-  | 7 -> tv_not (tv_and v.(fi.(b)) v.(fi.(b + 1)))
-  | 8 -> tv_not (tv_or v.(fi.(b)) v.(fi.(b + 1)))
-  | 9 -> tv_xor v.(fi.(b)) v.(fi.(b + 1))
-  | 10 -> tv_not (tv_xor v.(fi.(b)) v.(fi.(b + 1)))
-  | 11 -> tv_mux v.(fi.(b)) v.(fi.(b + 1)) v.(fi.(b + 2))
-  | _ -> v.(g)
-
-(* Ternary D capture of a flip-flop, per the cell semantics. *)
-let capture_tv nl v ff =
-  let f = Netlist.fanin nl ff in
-  match Netlist.kind nl ff with
-  | Cell.Dff -> v.(f.(0))
-  | Cell.Dffe -> tv_mux v.(f.(1)) v.(ff) v.(f.(0))
-  | Cell.Sdff -> tv_mux v.(f.(2)) v.(f.(0)) v.(f.(1))
-  | Cell.Sdffe ->
-      let functional = tv_mux v.(f.(1)) v.(ff) v.(f.(0)) in
-      tv_mux v.(f.(3)) functional v.(f.(2))
-  | _ -> assert false
-
 let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
   Obs.incr c_faults;
   let flat = Flat.of_netlist nl in
@@ -104,7 +41,7 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
     if i < npi then flat.Flat.pis.(i) else flat.Flat.dffs.(i - npi)
   in
   let assign = Array.make ninputs TX in
-  let m = { g = Array.make n TX; f = Array.make n TX } in
+  let m = Dcalc.create n in
   let site = fault.f_net in
   let stuck = tv_of_bool fault.f_stuck in
   (* Only the site's combinational fanout can carry a D, so the frontier
@@ -183,34 +120,6 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
       incr l
     done;
     top := 0
-  in
-  let is_d net = m.g.(net) <> TX && m.f.(net) <> TX && m.g.(net) <> m.f.(net) in
-  let observable_d () =
-    Array.exists (fun k -> is_d flat.Flat.pos_net.(k)) cone.Flat.c_pos
-    || Array.exists
-         (fun k ->
-           let ff = flat.Flat.dffs.(k) in
-           let gd = capture_tv nl m.g ff and fd = capture_tv nl m.f ff in
-           gd <> TX && fd <> TX && gd <> fd)
-         cone.Flat.c_dffs
-  in
-  let has_d_fanin g =
-    let rec go e = e < fi_off.(g + 1) && (is_d fi.(e) || go (e + 1)) in
-    go fi_off.(g)
-  in
-  (* The D-frontier in global topological order (cone gates keep it). *)
-  let d_frontier () =
-    let res = ref [] in
-    let gates = cone.Flat.c_gates in
-    for j = Array.length gates - 1 downto 0 do
-      let g = gates.(j) in
-      let k = kinds.(g) in
-      if k > Flat.k_const1 && k < Flat.k_dff
-         && (m.g.(g) = TX || m.f.(g) = TX)
-         && has_d_fanin g
-      then res := g :: !res
-    done;
-    !res
   in
   (* X-path check: can a D on the frontier still reach an observation
      point through X-valued nets?  [seen] holds the epoch of the last
@@ -301,7 +210,7 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
                 | Cell.Mux2 ->
                     if pin = fanin.(0) then
                       (* Select the data input carrying the D. *)
-                      if is_d fanin.(1) then T0 else T1
+                      if is_d m fanin.(1) then T0 else T1
                     else T1
                 | _ -> T1
               in
@@ -358,13 +267,13 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
       (* Fuel or deadline gone mid-search: degrade to Aborted so the
          caller's ladder (D-alg retry, random top-off) can take over. *)
       result := Some Aborted
-    else if observable_d () then begin
+    else if observable_d flat cone m then begin
       let vec = Bitvec.create ninputs in
       Array.iteri (fun i v -> if v = T1 then Bitvec.set vec i true) assign;
       result := Some (Test vec)
     end
     else begin
-      let frontier = d_frontier () in
+      let frontier = d_frontier flat cone m in
       let dead =
         (not (site_ok ()))
         || (m.g.(site) <> TX && frontier = [])

@@ -2,8 +2,8 @@
 
     Decision variables are the circuit's inputs in the scan sense: primary
     inputs plus flip-flop (pseudo) inputs.  Observation points are primary
-    outputs plus flip-flop D captures.  Five-valued D-calculus is encoded as
-    a pair of ternary values (good machine, faulty machine). *)
+    outputs plus flip-flop D captures.  The search runs on the five-valued
+    machine of {!Dcalc}, shared with {!Dalg}. *)
 
 open Socet_util
 open Socet_netlist

@@ -29,7 +29,7 @@ type t = {
   memories : memory list;
 }
 
-let instantiate ?(atpg_seed = 42) ci_name core =
+let instantiate ci_name core =
   let rcg = Rcg.of_core core in
   let hscan = Hscan.insert rcg in
   let versions = Version.generate rcg in
@@ -41,7 +41,7 @@ let instantiate ?(atpg_seed = 42) ci_name core =
     ci_hscan = hscan;
     ci_versions = versions;
     ci_netlist = netlist;
-    ci_atpg = lazy (Podem.run ~seed:atpg_seed netlist);
+    ci_atpg = lazy (Podem.run netlist);
   }
 
 (* SOC assembly errors cross the user/library boundary: structured, so

@@ -40,7 +40,7 @@ type t = {
   memories : memory list;
 }
 
-val instantiate : ?atpg_seed:int -> string -> Rtl_core.t -> core_inst
+val instantiate : string -> Rtl_core.t -> core_inst
 (** Elaborates the core, inserts HSCAN, generates the version ladder and
     prepares the (lazy) ATPG run.  Nothing here touches the result
     cache; only the ATPG run, when forced, goes through it. *)

@@ -209,15 +209,9 @@ let run req =
     Socet_cache.Cache.with_store store dispatch_body
   in
   (* Boundary adapter: no input, however corrupt, escapes as an uncaught
-     exception — raw exceptions become structured [Internal] errors and a
-     budget blowing through an engine's cooperative check maps to
-     [Exhausted] (exit code 4), same as the direct CLI. *)
+     exception — raw exceptions become structured [Internal] errors. *)
   match Err.guard ~engine:"serve" dispatch with
   | Ok result -> result
   | Error e -> Error e
-  | exception Budget.Exhausted_exn label ->
-      Error
-        (Err.make ~kind:Err.Exhausted ~engine:"serve"
-           (Printf.sprintf "budget %s exhausted" label))
   | exception e ->
       Error (Err.make ~kind:Err.Internal ~engine:"serve" (Printexc.to_string e))

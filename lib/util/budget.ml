@@ -4,8 +4,6 @@ let clock : (unit -> float) option ref = ref None
 
 let set_clock f = clock := Some f
 
-exception Exhausted_exn of string
-
 type t = {
   b_label : string;
   mutable fuel : int;           (* steps remaining; max_int = unlimited *)
@@ -13,7 +11,6 @@ type t = {
   deadline_us : float;          (* absolute; infinity = none *)
   mutable countdown : int;      (* spends until the next clock check *)
   mutable dead : bool;          (* sticky exhaustion *)
-  parent : t option;
 }
 
 (* Reading the clock on every spend would dominate PODEM's inner loop;
@@ -33,25 +30,9 @@ let create ?(label = "budget") ?steps ?deadline_s () =
     deadline_us;
     countdown = clock_check_period;
     dead = false;
-    parent = None;
   }
 
-let unlimited () = create ~label:"unlimited" ()
-
-let child ?label ?steps parent =
-  {
-    b_label = (match label with Some l -> l | None -> parent.b_label ^ ".child");
-    fuel =
-      (let cap = parent.fuel in
-       match steps with Some s -> min (max 0 s) cap | None -> cap);
-    used = 0;
-    deadline_us = parent.deadline_us;
-    countdown = clock_check_period;
-    dead = parent.dead;
-    parent = Some parent;
-  }
-
-let rec deadline_passed b =
+let deadline_passed b =
   if b.deadline_us = infinity then false
   else
     match !clock with
@@ -61,9 +42,9 @@ let rec deadline_passed b =
           b.dead <- true;
           true
         end
-        else (match b.parent with Some p -> deadline_passed p | None -> false)
+        else false
 
-let rec drain cost b =
+let drain cost b =
   b.used <- b.used + cost;
   if b.fuel <> max_int then b.fuel <- b.fuel - cost;
   if b.fuel < 0 then b.dead <- true;
@@ -71,9 +52,7 @@ let rec drain cost b =
   if b.countdown <= 0 then begin
     b.countdown <- clock_check_period;
     ignore (deadline_passed b)
-  end;
-  (match b.parent with Some p -> drain cost p | None -> ());
-  if (match b.parent with Some p -> p.dead | None -> false) then b.dead <- true
+  end
 
 let spend ?(cost = 1) b =
   if b.dead then false
@@ -82,24 +61,12 @@ let spend ?(cost = 1) b =
     not b.dead
   end
 
-let rec affordable ?(cost = 1) b =
+let affordable ?(cost = 1) b =
   (not b.dead)
   && (not (deadline_passed b))
   && (b.fuel = max_int || b.fuel >= cost)
-  && (match b.parent with Some p -> affordable ~cost p | None -> true)
 
-let exhausted b =
-  b.dead
-  || (b.deadline_us <> infinity && deadline_passed b)
-  ||
-  match b.parent with
-  | Some p -> p.dead
-  | None -> false
-
-let take ?cost b = if not (spend ?cost b) then raise (Exhausted_exn b.b_label)
-
-let spent b = b.used
-let label b = b.b_label
+let exhausted b = b.dead || (b.deadline_us <> infinity && deadline_passed b)
 
 let to_error b ~engine =
   Error.make ~kind:Error.Exhausted ~engine

@@ -1,4 +1,4 @@
-(** Composable fuel/deadline budgets for the search engines.
+(** Fuel/deadline budgets for the search engines.
 
     Every unbounded loop in the flow — PODEM's decision/backtrack loop, the
     D-algorithm, transparency-path search, the iterative-improvement
@@ -20,9 +20,6 @@
 
 type t
 
-exception Exhausted_exn of string
-(** Raised by {!take} only; label of the exhausted budget. *)
-
 val set_clock : (unit -> float) -> unit
 (** Install the wall-clock source (absolute microseconds).  Idempotent. *)
 
@@ -31,20 +28,11 @@ val create : ?label:string -> ?steps:int -> ?deadline_s:float -> unit -> t
     allowance in seconds from now (default: none; inert when no clock is
     installed). *)
 
-val unlimited : unit -> t
-(** Never exhausts.  [spend] on it still counts steps. *)
-
-val child : ?label:string -> ?steps:int -> t -> t
-(** A sub-budget: its fuel is capped by (its own [steps] and) the parent's
-    remaining fuel, it shares the parent's deadline, and spending from the
-    child also drains the parent — so sibling phases compose under one
-    global allowance. *)
-
 val spend : ?cost:int -> t -> bool
-(** Drain [cost] (default 1) steps; [true] while the budget (and its
-    ancestors) still holds.  The cooperative check-point: engines call it
-    once per search step and unwind when it returns [false].  Once it
-    returns [false] it keeps returning [false]. *)
+(** Drain [cost] (default 1) steps; [true] while the budget still holds.
+    The cooperative check-point: engines call it once per search step and
+    unwind when it returns [false].  Once it returns [false] it keeps
+    returning [false]. *)
 
 val affordable : ?cost:int -> t -> bool
 (** Non-consuming peek: would [spend ~cost] succeed right now?  Lets a
@@ -55,15 +43,6 @@ val affordable : ?cost:int -> t -> bool
 
 val exhausted : t -> bool
 (** Sticky: has any {!spend} failed, or was the deadline passed? *)
-
-val take : ?cost:int -> t -> unit
-(** Exception-style check-point for engines with exception-based unwinding:
-    {!spend}, raising {!Exhausted_exn} on failure. *)
-
-val spent : t -> int
-(** Steps drained from this budget so far. *)
-
-val label : t -> string
 
 val to_error : t -> engine:string -> Error.t
 (** An [Error.Exhausted] describing this budget (label, steps spent). *)

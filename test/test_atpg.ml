@@ -320,11 +320,14 @@ let random_comb_netlist rng =
   done;
   (nl, k)
 
-(* Independent oracle for [generate]: every test vector detects its
-   fault under fault simulation, and no fault proven untestable is
-   detected by any of the 2^k input vectors. *)
+(* Independent oracle for both engines' [generate]: every test vector
+   detects its fault under fault simulation, and no fault PODEM proves
+   untestable is detected by any of the 2^k input vectors.  A D-alg
+   [Untestable] is not checked: single-path sensitization is incomplete
+   by design (see {!Dalg.outcome}). *)
 let prop_podem_exhaustive_oracle =
-  QCheck.Test.make ~name:"podem outcomes agree with exhaustive simulation"
+  QCheck.Test.make
+    ~name:"podem outcomes agree with exhaustive simulation; dalg tests detect"
     ~count:200
     QCheck.(int_bound 1_000_000)
     (fun seed ->
@@ -334,11 +337,15 @@ let prop_podem_exhaustive_oracle =
       let all_vectors = List.init (1 lsl k) (fun x -> Bitvec.of_int ~width:k x) in
       List.for_all
         (fun f ->
-          match Podem.generate ?scoap nl f with
+          (match Podem.generate ?scoap nl f with
           | Podem.Test v -> Fsim.detects_comb nl v f
           | Podem.Untestable ->
               not (List.exists (fun v -> Fsim.detects_comb nl v f) all_vectors)
           | Podem.Aborted -> true)
+          &&
+          match Dalg.generate nl f with
+          | Dalg.Test v -> Fsim.detects_comb nl v f
+          | Dalg.Untestable | Dalg.Aborted -> true)
         (Fault.all nl))
 
 (* ------------------------------------------------------------------ *)
@@ -563,12 +570,71 @@ let test_dalg_run_stats () =
   let s2 = Dalg.run ~sample:4 nl in
   check "sampled subset" true (s2.Dalg.total < s.Dalg.total)
 
+(* D-alg on the six paper cores: every 29th collapsed fault at a
+   decision limit of 400.  Per core, the number of faults tried and an
+   MD5 of one "fault=outcome" line per fault (the vector for a test, U or
+   A otherwise); then the summed [atpg.dalg.decisions] and the count and
+   sum of the [atpg.dalg.d_frontier_size] histogram.  Recorded from the
+   D-algorithm's own fixpoint evaluator before it moved onto the shared
+   five-valued machine: the search must make the same decisions in the
+   same order. *)
+let dalg_core_golden =
+  [
+    ("PREP", Socet_cores.Preprocessor.core,
+     (37, "ff703f8b96e6adb958822e3357039169"));
+    ("CPU", Socet_cores.Cpu.core,
+     (41, "d06947baa93607b81cb01b0960fe0164"));
+    ("DISPLAY", Socet_cores.Display.core,
+     (53, "c27cc2dbbe8218037193c36a4e1c3ca4"));
+    ("GFX", Socet_cores.Graphics.core,
+     (37, "cd2722cdd59d30f6463e2e4b130c255d"));
+    ("GCD", Socet_cores.Gcd_core.core,
+     (28, "a9e97c20fe057df0fa64bcb6211a7d21"));
+    ("X25", Socet_cores.X25.core,
+     (21, "9a7b4376699cdfa866c42c40a3221a70"));
+  ]
+
+let test_dalg_paper_cores_golden () =
+  let decisions = Obs.counter ~scope:"atpg" "dalg.decisions" in
+  let frontier () =
+    match List.assoc_opt "atpg.dalg.d_frontier_size" (Obs.snapshot_histograms ()) with
+    | Some h -> (h.Socet_obs.Histogram.s_count, int_of_float h.s_sum)
+    | None -> (0, 0)
+  in
+  let was_on = Obs.enabled () in
+  Obs.configure ();
+  let d0 = Obs.value decisions and c0, s0 = frontier () in
+  Fun.protect ~finally:(fun () -> if not was_on then Obs.disable ()) @@ fun () ->
+  List.iter
+    (fun (name, core, (nfaults, digest)) ->
+      let nl = Socet_synth.Elaborate.core_to_netlist (core ()) in
+      let faults = Fault.collapse nl |> List.filteri (fun i _ -> i mod 29 = 0) in
+      let line f =
+        Fault.name nl f ^ "="
+        ^
+        match Dalg.generate ~decision_limit:400 nl f with
+        | Dalg.Test v -> Bitvec.to_string v
+        | Dalg.Untestable -> "U"
+        | Dalg.Aborted -> "A"
+      in
+      let lines = List.map line faults in
+      check_int (name ^ " faults") nfaults (List.length faults);
+      Alcotest.(check string)
+        (name ^ " outcome digest") digest
+        (Digest.to_hex (Digest.string (String.concat "\n" lines))))
+    dalg_core_golden;
+  let c1, s1 = frontier () in
+  Alcotest.(check (list int))
+    "decisions / frontier observations / frontier sum" [ 20_377; 12_705; 27_434 ]
+    [ Obs.value decisions - d0; c1 - c0; s1 - s0 ]
+
 let dalg_tests =
   [
     Alcotest.test_case "sound on adder" `Quick test_dalg_sound_on_adder;
     Alcotest.test_case "constant redundancy" `Quick test_dalg_const_faults;
     Alcotest.test_case "mux circuit" `Quick test_dalg_mux_circuit;
     Alcotest.test_case "run stats" `Quick test_dalg_run_stats;
+    Alcotest.test_case "paper cores golden" `Quick test_dalg_paper_cores_golden;
   ]
 
 

@@ -13,18 +13,26 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
-(* Fresh scratch directories; cleaned best-effort (the suite's tmp root
-   is disposable anyway). *)
+(* A fresh store in its own temp directory, removed with everything in
+   it however the test body exits. *)
 let dir_counter = ref 0
 
-let fresh_dir () =
-  incr dir_counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "socet-cache-test-%d-%d" (Unix.getpid ()) !dir_counter)
+let rec rm_rf p =
+  match Unix.lstat p with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+      Unix.rmdir p
+  | _ -> Sys.remove p
+  | exception Unix.Unix_error _ -> ()
 
 let with_fresh_store ?limit_bytes f =
-  let dir = fresh_dir () in
+  incr dir_counter;
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "socet-cache-test-%d-%d" (Unix.getpid ()) !dir_counter)
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   match Store.open_store ?limit_bytes dir with
   | Error e -> Alcotest.failf "open_store: %s" (Error.to_string e)
   | Ok s -> f dir s
@@ -154,12 +162,12 @@ let test_store_roundtrip () =
 
 let test_store_rejects_bad_dir () =
   let file = Filename.temp_file "socet-cache-test" ".notadir" in
-  (match Store.open_store file with
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  match Store.open_store file with
   | Ok _ -> Alcotest.fail "opened a store rooted at a regular file"
   | Error e ->
       check "validation error" true (e.Error.err_kind = Error.Validation);
-      check_int "maps to exit code 3" 3 (Error.exit_code e));
-  Sys.remove file
+      check_int "maps to exit code 3" 3 (Error.exit_code e)
 
 let entry_file dir ~ns =
   let d = Filename.concat dir ns in

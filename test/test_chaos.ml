@@ -32,7 +32,6 @@ let structured f =
     true
   with
   | Error.Socet_error _ -> true
-  | Budget.Exhausted_exn _ -> true
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
