@@ -29,6 +29,32 @@ type t = {
   memories : memory list;
 }
 
+(* The per-core ATPG stage (soc.mli).  The table steps aside for an
+   active store so that the store's scoreboard sees every lookup.  The
+   key is taken per call, not at [instantiate]: diff-test edits a
+   netlist in between.  Two domains that miss one key compute the same
+   deterministic record; the first insert wins. *)
+let atpg_table_capacity = 64
+let atpg_table : (string, Podem.stats) Hashtbl.t = Hashtbl.create 16
+let atpg_mu = Mutex.create ()
+
+let core_atpg nl =
+  if Socet_cache.Cache.enabled () then Podem.run nl
+  else
+    let key = Structhash.netlist nl in
+    match Mutex.protect atpg_mu (fun () -> Hashtbl.find_opt atpg_table key) with
+    | Some stats -> stats
+    | None ->
+        let stats = Podem.run nl in
+        Mutex.protect atpg_mu (fun () ->
+            match Hashtbl.find_opt atpg_table key with
+            | Some first -> first
+            | None ->
+                if Hashtbl.length atpg_table >= atpg_table_capacity then
+                  Hashtbl.reset atpg_table;
+                Hashtbl.add atpg_table key stats;
+                stats)
+
 let instantiate ci_name core =
   let rcg = Rcg.of_core core in
   let hscan = Hscan.insert rcg in
@@ -41,7 +67,7 @@ let instantiate ci_name core =
     ci_hscan = hscan;
     ci_versions = versions;
     ci_netlist = netlist;
-    ci_atpg = lazy (Podem.run netlist);
+    ci_atpg = lazy (core_atpg netlist);
   }
 
 (* SOC assembly errors cross the user/library boundary: structured, so

@@ -27,8 +27,10 @@ type core_inst = {
   ci_versions : Version.t list;
   ci_netlist : Netlist.t;
   ci_atpg : Podem.stats Lazy.t;
-      (** combinational ATPG on the full-scan model of the core; forced on
-          first use (vector counts, fault coverage) *)
+      (** {!core_atpg} of [ci_netlist], the combinational ATPG on the
+          full-scan model of the core; forced on first use (vector
+          counts, fault coverage).  Forcing one lazy from two domains at
+          once races: force it before fanning out. *)
 }
 
 type t = {
@@ -40,10 +42,25 @@ type t = {
   memories : memory list;
 }
 
+val core_atpg : Netlist.t -> Podem.stats
+(** The per-core ATPG stage: {!Socet_atpg.Podem.run} at its default
+    parameters, run at most once per distinct netlist per process.
+    - With a result store active ({!Socet_cache.Cache.enabled}), it is
+      exactly [Podem.run], so the store is the only reuse path and its
+      scoreboard counts every lookup.
+    - With no store active, it looks the netlist up by
+      {!Socet_netlist.Structhash.netlist} in a process-wide table of at
+      most 64 entries (cleared when full), guarded by a mutex.  A miss
+      runs PODEM outside the lock and keeps the first record inserted.
+    The hash is taken at each call, so a netlist edited after
+    {!instantiate} gets its own test set.  Safe to call from several
+    domains at once. *)
+
 val instantiate : string -> Rtl_core.t -> core_inst
 (** Elaborates the core, inserts HSCAN, generates the version ladder and
-    prepares the (lazy) ATPG run.  Nothing here touches the result
-    cache; only the ATPG run, when forced, goes through it. *)
+    prepares the lazy {!core_atpg} run.  Nothing here runs ATPG, hashes
+    the netlist or touches the result cache; all of that happens when
+    [ci_atpg] is forced. *)
 
 val make :
   name:string ->

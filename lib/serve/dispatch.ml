@@ -155,8 +155,7 @@ let run_chip ~deadline_ms c =
 let run_atpg a =
   let* core = core_of_name a.Proto.at_core in
   let nl = Socet_synth.Elaborate.core_to_netlist core in
-  let faults = Socet_atpg.Fault.collapse nl in
-  let stats = Socet_atpg.Podem.run nl in
+  let stats = Soc.core_atpg nl in
   let out = Buffer.create 256 in
   Buffer.add_string out
     (Ascii_table.render
@@ -164,7 +163,7 @@ let run_atpg a =
        [
          [
            a.Proto.at_core;
-           string_of_int (List.length faults);
+           string_of_int stats.Socet_atpg.Podem.total_faults;
            string_of_int (List.length stats.Socet_atpg.Podem.vectors);
            Printf.sprintf "%.1f" stats.Socet_atpg.Podem.coverage;
            Printf.sprintf "%.1f" stats.Socet_atpg.Podem.efficiency;

@@ -8,6 +8,7 @@ open Socet_netlist
 module Cache = Socet_cache.Cache
 module Store = Socet_cache.Store
 module Soc = Socet_core.Soc
+module Obs = Socet_obs.Obs
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -349,6 +350,87 @@ let test_incremental_blast_radius () =
     "engines use exactly the podem2 namespace" [ "podem2" ]
     (List.sort_uniq compare !namespaces)
 
+(* ------------------------------------------------------------------ *)
+(* The per-core ATPG stage (Soc.core_atpg)                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The process table is shared by every test in this binary, so each
+   case below uses a random-SOC seed no other test uses: its netlists
+   start cold. *)
+
+let podem_runs () =
+  Option.value ~default:0
+    (Option.map fst (List.assoc_opt "atpg.podem.run" (Obs.snapshot_timers ())))
+
+(* Run [f] with metrics on; its result and the PODEM runs it made. *)
+let counting_podem_runs f =
+  let was_on = Obs.enabled () in
+  Obs.configure ();
+  let before = podem_runs () in
+  let r = Fun.protect ~finally:(fun () -> if not was_on then Obs.disable ()) f in
+  (r, podem_runs () - before)
+
+let force_atpg soc = List.map (fun ci -> Lazy.force ci.Soc.ci_atpg) soc.Soc.insts
+
+let test_stage_reuses_without_store () =
+  let gen () = Socet_cores.Gen.random_soc ~cores:2 ~hetero:true (Rng.create 2201) in
+  Cache.with_store None @@ fun () ->
+  let first, cold_runs = counting_podem_runs (fun () -> force_atpg (gen ())) in
+  check "the first build runs PODEM" true (cold_runs > 0);
+  let again, warm_runs = counting_podem_runs (fun () -> force_atpg (gen ())) in
+  check_int "the second build runs no PODEM" 0 warm_runs;
+  check "the second build gets equal test sets" true (again = first)
+
+let test_stage_does_not_bypass_store () =
+  let gen () = Socet_cores.Gen.random_soc ~cores:2 ~hetero:true (Rng.create 2202) in
+  let bare = Cache.with_store None (fun () -> force_atpg (gen ())) in
+  with_fresh_store @@ fun _dir s ->
+  Cache.with_store (Some s) @@ fun () ->
+  let pass () =
+    Cache.reset_scoreboard ();
+    let soc = gen () in
+    let stats = force_atpg soc in
+    let distinct =
+      List.length
+        (List.sort_uniq compare
+           (List.map (fun ci -> Structhash.netlist ci.Soc.ci_netlist) soc.Soc.insts))
+    in
+    let hits, misses =
+      match List.find_opt (fun (ns, _, _) -> ns = "podem2") (Cache.scoreboard ()) with
+      | Some (_, h, m) -> (h, m)
+      | None -> (0, 0)
+    in
+    (stats, List.length soc.Soc.insts, distinct, hits, misses)
+  in
+  let cold, n, distinct, hits, misses = pass () in
+  check_int "a cold store misses each distinct netlist" distinct misses;
+  check_int "a cold store hits only repeats" (n - distinct) hits;
+  check "the store run equals the table run" true (cold = bare);
+  let warm, n, _, hits, misses = pass () in
+  check_int "a warm store hits every core" n hits;
+  check_int "a warm store misses nothing" 0 misses;
+  check "the warm run equals the table run" true (warm = bare)
+
+let test_stage_keys_edited_netlist () =
+  let gen () = Socet_cores.Gen.random_soc ~cores:2 ~hetero:true (Rng.create 2203) in
+  Cache.with_store None @@ fun () ->
+  (* Fill the table with the unedited netlists first. *)
+  ignore (force_atpg (gen ()));
+  let soc = gen () in
+  let ci = List.hd soc.Soc.insts in
+  let nl = ci.Soc.ci_netlist in
+  let before = Structhash.netlist nl in
+  (match Netlist.pos nl with
+  | (po, net) :: _ ->
+      let a = Netlist.add_gate nl Cell.Inv [| net |] in
+      let b = Netlist.add_gate nl Cell.Inv [| a |] in
+      Netlist.replace_po nl po b
+  | [] -> Alcotest.fail "core has no PO");
+  check "the edit changes the netlist hash" true (Structhash.netlist nl <> before);
+  let got = Lazy.force ci.Soc.ci_atpg in
+  check "the edited core gets PODEM on the edited netlist" true
+    (got = Socet_atpg.Podem.run nl)
+
 let () =
   Alcotest.run "cache"
     [
@@ -385,5 +467,14 @@ let () =
             test_warm_fleet_byte_identical;
           Alcotest.test_case "incremental blast radius" `Quick
             test_incremental_blast_radius;
+        ] );
+      ( "core-atpg",
+        [
+          Alcotest.test_case "no store: a rebuild runs no PODEM" `Quick
+            test_stage_reuses_without_store;
+          Alcotest.test_case "an active store is not bypassed" `Quick
+            test_stage_does_not_bypass_store;
+          Alcotest.test_case "a netlist edited after instantiate" `Quick
+            test_stage_keys_edited_netlist;
         ] );
     ]

@@ -228,6 +228,24 @@ let test_memo_hits_counted () =
   check "space explored" true (n_points > 1);
   check "memo reused across points" true (hits > 0)
 
+(* ------------------------------------------------------------------ *)
+(* The per-core ATPG stage under concurrent misses                     *)
+(* ------------------------------------------------------------------ *)
+
+let test_core_atpg_concurrent () =
+  (* A netlist no other test builds, so all four tasks can miss the
+     process table at once, race to insert and must agree. *)
+  let fresh () =
+    Socet_synth.Elaborate.core_to_netlist (Gen.random_core (Rng.create 2204))
+  in
+  let nl = fresh () in
+  let got =
+    with_domains 4 @@ fun () ->
+    Pool.parallel_map ~chunk:1 (fun _ -> Soc.core_atpg nl) (Array.make 4 ())
+  in
+  let want = Podem.run (fresh ()) in
+  Array.iter (fun s -> check "each task equals a plain Podem.run" true (s = want)) got
+
 let () =
   Alcotest.run "socet_parallel"
     [
@@ -258,5 +276,10 @@ let () =
           Alcotest.test_case "memoized equals unmemoized" `Slow
             test_design_space_matches_evaluate;
           Alcotest.test_case "memo hits counted" `Quick test_memo_hits_counted;
+        ] );
+      ( "core-atpg",
+        [
+          Alcotest.test_case "4 concurrent misses agree" `Quick
+            test_core_atpg_concurrent;
         ] );
     ]

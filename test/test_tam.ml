@@ -156,9 +156,11 @@ let test_fleet_deterministic_across_jobs () =
   let run jobs =
     with_domains jobs @@ fun () -> Fleet.run ~seed:7 ~count:12 ()
   in
-  let f1 = fleet_fingerprint (run 1) in
-  let f2 = fleet_fingerprint (run 2) in
+  (* Most parallel first: the 4-domain run fills the per-core ATPG table
+     with concurrent misses, the later runs read it. *)
   let f4 = fleet_fingerprint (run 4) in
+  let f2 = fleet_fingerprint (run 2) in
+  let f1 = fleet_fingerprint (run 1) in
   Alcotest.(check (list string)) "jobs 1 = jobs 2" f1 f2;
   Alcotest.(check (list string)) "jobs 1 = jobs 4" f1 f4
 
