@@ -1,7 +1,6 @@
 open Socet_util
 open Socet_netlist
 module Obs = Socet_obs.Obs
-module Cache = Socet_cache.Cache
 open Dcalc
 
 (* Observability: PODEM's effort is dominated by its decision/backtrack
@@ -343,15 +342,7 @@ type stats = {
   efficiency : float;
 }
 
-(* Persistent-cache key: the netlist's canonical structural hash plus
-   every engine parameter that can change the result.  Budgeted runs are
-   never cached — a deadline can truncate the determ phase anywhere, so
-   their output is not a pure function of the key. *)
-let cache_key ~backtrack_limit ~random_patterns ~seed ~use_scoap nl =
-  Printf.sprintf "%s|bt=%d|rp=%d|seed=%d|scoap=%b"
-    (Structhash.netlist nl) backtrack_limit random_patterns seed use_scoap
-
-let run_uncached ?(backtrack_limit = 1000) ?(random_patterns = 64) ?(seed = 42)
+let run ?(backtrack_limit = 1000) ?(random_patterns = 64) ?(seed = 42)
     ?(use_scoap = true) ?budget nl =
   Obs.with_span ~cat:"atpg" "podem.run" @@ fun () ->
   let scoap = if use_scoap then Some (Scoap.compute nl) else None in
@@ -461,23 +452,3 @@ let run_uncached ?(backtrack_limit = 1000) ?(random_patterns = 64) ?(seed = 42)
       (if total = 0 then 0.0
        else 100.0 *. float_of_int (ndet + nred) /. float_of_int total);
   }
-
-(* The public entry: serve the whole stats record from the persistent
-   cache when one is active and the run is un-budgeted.  The namespace
-   version ("podem2") pins the marshaled [stats] shape and contents (bumped
-   when [redundant] stopped listing detected faults); the key pins the
-   netlist content and every parameter above.  A cached record is the
-   bit-for-bit result of an identical cold run, so callers (vector
-   counts, schedule periods, coverage tables) cannot observe the
-   difference. *)
-let run ?(backtrack_limit = 1000) ?(random_patterns = 64) ?(seed = 42)
-    ?(use_scoap = true) ?budget nl =
-  match budget with
-  | Some _ ->
-      run_uncached ~backtrack_limit ~random_patterns ~seed ~use_scoap ?budget nl
-  | None when Cache.enabled () ->
-      Cache.memo ~ns:"podem2"
-        ~key:(cache_key ~backtrack_limit ~random_patterns ~seed ~use_scoap nl)
-        (fun () ->
-          run_uncached ~backtrack_limit ~random_patterns ~seed ~use_scoap nl)
-  | None -> run_uncached ~backtrack_limit ~random_patterns ~seed ~use_scoap nl

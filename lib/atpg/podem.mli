@@ -71,4 +71,8 @@ val run :
 
     With [budget], the whole phase shares one fuel/deadline allowance;
     when it exhausts, remaining faults are reported as aborted and the
-    vectors found so far are kept (graceful degradation). *)
+    vectors found so far are kept (graceful degradation).
+
+    A plain engine: every call runs the search, and nothing here reads
+    or writes a result store.  Reusing a core's test set is the job of
+    the per-core ATPG stage, [Socet_core.Soc.core_atpg]. *)

@@ -1,8 +1,8 @@
 (* The engine-facing facade over the persistent store (cache.mli). *)
 
 (* One process-global active store, set by the CLI / the serve dispatcher
-   before engines run.  Engines never see a store handle: they call
-   [find]/[store]/[memo] with a namespace and a content key, and the
+   before engines run.  Callers never see a store handle: the per-core
+   ATPG stage calls [memo] with a namespace and a content key, and the
    whole subsystem is a no-op (one atomic load) when nothing is
    active — mirroring lib/obs's zero-cost-when-disabled discipline. *)
 
@@ -62,9 +62,10 @@ let store ~ns ~key v =
       | payload ->
           Store.store s ~ns ~key payload;
           Metrics.stored ()
-      | exception Failure _ ->
-          (* Unmarshalable value (closure, abstract block): engines only
-             cache plain data, but never let a slip crash the run. *)
+      | exception Invalid_argument _ ->
+          (* Unmarshalable value: Marshal rejects a closure or a custom
+             block with [Invalid_argument].  Only plain data is cached,
+             but never let a slip crash the run. *)
           ())
 
 let memo ~ns ~key f =

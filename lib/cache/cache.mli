@@ -2,13 +2,15 @@
     (DESIGN.md §16).
 
     One namespace exists: [podem2], per-core ATPG results keyed by
-    {!Socet_netlist.Structhash} plus the engine parameters.  That is the
-    only expensive artifact; chip-level plans (CCG schedules, TAM
-    schedules, access routes, version ladders) are cheap to rebuild
-    from it and are never stored.  The CLI and the serve dispatcher
-    decide {e whether} a store is active ([--cache DIR], the wire
-    protocol's cache field).  With no active store every entry point is
-    a no-op, so un-cached runs pay one atomic load per hook.
+    {!Socet_netlist.Structhash} plus the PODEM parameters, read and
+    written only by the per-core ATPG stage
+    ([Socet_core.Soc.core_atpg]).  That is the only expensive artifact;
+    chip-level plans (CCG schedules, TAM schedules, access routes,
+    version ladders) are cheap to rebuild from it and are never
+    stored.  The CLI and the serve dispatcher decide {e whether} a
+    store is active ([--cache DIR], the wire protocol's cache field).
+    With no active store every entry point is a no-op, so un-cached
+    runs pay one atomic load per hook.
 
     Contract: a cached artifact is byte-identical to what the engine
     would recompute — namespaces embed a format version, and keys pin
@@ -37,9 +39,10 @@ val find : ns:string -> key:string -> 'a option
     garbage. *)
 
 val memo : ns:string -> key:string -> (unit -> 'a) -> 'a
-(** [find] or compute-and-store: the only way an engine writes.  The
-    value must be plain data (no closures or custom blocks); without an
-    active store the thunk just runs. *)
+(** [find] or compute-and-store: the only way the per-core ATPG stage
+    writes.  The value should be plain data: a closure or custom block
+    is returned but not stored.  Without an active store the thunk just
+    runs. *)
 
 val scoreboard : unit -> (string * int * int) list
 (** Per-namespace [(ns, hits, misses)] since the last reset, sorted —

@@ -55,15 +55,16 @@ val build :
 
 (** {2 Memoization seam}
 
-    [build] is [Ccg.build] + requested-mux insertion + one
-    [build_core_test] per core + [assemble].  [Select]'s route memo
+    [build] is [Ccg.build] + requested-mux insertion + one core test
+    per core ({!justify_routes}, {!observe_routes},
+    {!core_test_of_routes}) + [assemble].  [Select]'s route memo
     drives the pieces directly so per-core tests can be memoized across
     design points: a core's test only depends on the versions of the
     cores its access routes can traverse, so the same [core_test] value
     recurs across many full-choice combinations.
 
-    Caveat for callers: [build_core_test] may add {e forced} system-level
-    mux edges to [ccg] as a side effect (visible as [r_added_smux] on the
+    Caveat for callers: routing may add {e forced} system-level mux
+    edges to [ccg] as a side effect (visible as [r_added_smux] on the
     returned routes).  A result whose routes contain a forced mux — or one
     computed {e after} such a mutation within the same [ccg] — is specific
     to that build and must not be reused against a fresh CCG. *)
@@ -89,12 +90,6 @@ val observe_routes : Ccg.t -> string -> Access.route list
 val core_test_of_routes :
   Soc.core_inst -> justify:Access.route list -> observe:Access.route list -> core_test
 (** Period/tail/time arithmetic over already-computed routes. *)
-
-val build_core_test :
-  ?budget:Socet_util.Budget.t -> Ccg.t -> Soc.core_inst -> core_test
-(** One core's test (routes, period, tail, time) against [ccg]:
-    [justify_routes] then [observe_routes] then [core_test_of_routes]
-    (or the no-route stub once [budget] is exhausted). *)
 
 val assemble :
   Soc.t ->

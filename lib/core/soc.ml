@@ -29,23 +29,35 @@ type t = {
   memories : memory list;
 }
 
-(* The per-core ATPG stage (soc.mli).  The table steps aside for an
-   active store so that the store's scoreboard sees every lookup.  The
-   key is taken per call, not at [instantiate]: diff-test edits a
-   netlist in between.  Two domains that miss one key compute the same
+(* The per-core ATPG stage (soc.mli), the one place a core's test set
+   is reused.  The stage owns PODEM's parameters, so its key pins every
+   input of the run, and it never passes a budget, so what it keeps is a
+   pure function of the key.  An active store is looked up under the key
+   in namespace "podem2" (the version pins the marshaled [Podem.stats]);
+   with none, the process table is, under the same key.  The key is
+   taken per call, not at [instantiate]: diff-test edits a netlist in
+   between.  Two domains that miss one key compute the same
    deterministic record; the first insert wins. *)
+let backtrack_limit = 1000
+let random_patterns = 64
+let seed = 42
+let use_scoap = true
 let atpg_table_capacity = 64
 let atpg_table : (string, Podem.stats) Hashtbl.t = Hashtbl.create 16
 let atpg_mu = Mutex.create ()
 
 let core_atpg nl =
-  if Socet_cache.Cache.enabled () then Podem.run nl
+  let key =
+    Printf.sprintf "%s|bt=%d|rp=%d|seed=%d|scoap=%b" (Structhash.netlist nl)
+      backtrack_limit random_patterns seed use_scoap
+  in
+  let run () = Podem.run ~backtrack_limit ~random_patterns ~seed ~use_scoap nl in
+  if Socet_cache.Cache.enabled () then Socet_cache.Cache.memo ~ns:"podem2" ~key run
   else
-    let key = Structhash.netlist nl in
     match Mutex.protect atpg_mu (fun () -> Hashtbl.find_opt atpg_table key) with
     | Some stats -> stats
     | None ->
-        let stats = Podem.run nl in
+        let stats = run () in
         Mutex.protect atpg_mu (fun () ->
             match Hashtbl.find_opt atpg_table key with
             | Some first -> first

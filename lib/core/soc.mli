@@ -43,18 +43,22 @@ type t = {
 }
 
 val core_atpg : Netlist.t -> Podem.stats
-(** The per-core ATPG stage: {!Socet_atpg.Podem.run} at its default
-    parameters, run at most once per distinct netlist per process.
-    - With a result store active ({!Socet_cache.Cache.enabled}), it is
-      exactly [Podem.run], so the store is the only reuse path and its
+(** The per-core ATPG stage: {!Socet_atpg.Podem.run} with backtrack
+    limit 1000, 64 random patterns, seed 42 and SCOAP guidance, run at
+    most once per distinct netlist per process.  It is the only code
+    that reuses a core's test set, and it looks one up under one key:
+    {!Socet_netlist.Structhash.netlist} plus those four parameters.
+    - With a result store active ({!Socet_cache.Cache.enabled}), the
+      key is looked up in the store's [podem2] namespace, so the store's
       scoreboard counts every lookup.
-    - With no store active, it looks the netlist up by
-      {!Socet_netlist.Structhash.netlist} in a process-wide table of at
-      most 64 entries (cleared when full), guarded by a mutex.  A miss
-      runs PODEM outside the lock and keeps the first record inserted.
-    The hash is taken at each call, so a netlist edited after
-    {!instantiate} gets its own test set.  Safe to call from several
-    domains at once. *)
+    - With no store active, the key is looked up in a process-wide
+      table of at most 64 entries (cleared when full), guarded by a
+      mutex.  A miss runs PODEM outside the lock and keeps the first
+      record inserted.
+    The stage never passes a budget, so every record it keeps is a pure
+    function of its key.  The hash is taken at each call, so a netlist
+    edited after {!instantiate} gets its own test set.  Safe to call
+    from several domains at once. *)
 
 val instantiate : string -> Rtl_core.t -> core_inst
 (** Elaborates the core, inserts HSCAN, generates the version ladder and

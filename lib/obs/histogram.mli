@@ -17,12 +17,6 @@ val observe : t -> float -> unit
 
 val count : t -> int
 val sum : t -> float
-val min_value : t -> float
-(** 0 when empty. *)
-
-val max_value : t -> float
-(** 0 when empty. *)
-
 val quantile : t -> float -> float
 (** [quantile t q] for [q] in [[0, 1]] (clamped); 0 when empty. *)
 

@@ -94,11 +94,6 @@ let snapshot_histograms () =
       | n, Registry.Histogram h -> Some (n, Histogram.summarize h) | _ -> None)
     (Registry.entries registry)
 
-let timer_total_ms name =
-  match List.assoc_opt name (snapshot_timers ()) with
-  | Some (_, total_us) -> total_us /. 1000.0
-  | None -> 0.0
-
 let stats_table () = Export.stats_table registry
 let stats_json () = Json.to_string ~pretty:true (Export.stats_json registry)
 

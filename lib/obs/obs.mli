@@ -88,10 +88,6 @@ val snapshot_timers : unit -> (string * (int * float)) list
 
 val snapshot_histograms : unit -> (string * Histogram.summary) list
 
-val timer_total_ms : string -> float
-(** Total accumulated milliseconds of the timer with this full name
-    (e.g. ["atpg.podem.run"]); 0 if absent. *)
-
 val stats_table : unit -> string
 val stats_json : unit -> string
 val trace_json : unit -> string

@@ -45,7 +45,6 @@ val regs : t -> reg list
 val transfers : t -> transfer list
 
 val find_port : t -> string -> port
-val find_reg : t -> string -> reg
 
 val reg_bit_count : t -> int
 (** Total flip-flop bits over all registers. *)

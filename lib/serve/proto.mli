@@ -74,7 +74,6 @@ val package_version : string
 (** Single source of truth for the [socet] version string (the CLI's
     [--version] and [socet version] both use it). *)
 
-val features : string list
 val version_lines : unit -> string
 (** The [socet version] output; the server's [Ping] response carries the
     same bytes, so a client can diagnose a protocol or feature mismatch. *)

@@ -234,6 +234,17 @@ let test_cache_facade_scoping () =
         (v2 = [ (1, "one"); (2, "two") ] && !computes = 1));
   check "restored after with_store" false (Cache.enabled ())
 
+let test_cache_memo_unmarshalable () =
+  (* Marshal rejects a closure with [Invalid_argument]: memo must hand
+     the value back and store nothing rather than crash the run. *)
+  with_fresh_store @@ fun _dir s ->
+  Cache.with_store (Some s) @@ fun () ->
+  let incr_by = 1 in
+  let f = Cache.memo ~ns:"fn" ~key:"k" (fun () -> fun x -> x + incr_by) in
+  check_int "the closure is returned" 2 (f 1);
+  check "the closure is not stored" true (Store.find s ~ns:"fn" ~key:"k" = None);
+  check_int "nothing is written" 0 (Store.bytes_used s)
+
 let test_cache_scoreboard () =
   with_fresh_store @@ fun _dir s ->
   Cache.with_store (Some s) (fun () ->
@@ -362,22 +373,32 @@ let podem_runs () =
   Option.value ~default:0
     (Option.map fst (List.assoc_opt "atpg.podem.run" (Obs.snapshot_timers ())))
 
-(* Run [f] with metrics on; its result and the PODEM runs it made. *)
-let counting_podem_runs f =
+let cache_stores () =
+  Option.value ~default:0 (List.assoc_opt "cache.stores" (Obs.snapshot_counters ()))
+
+(* Run [f] with metrics on; its result and how far [read] moved. *)
+let counting read f =
   let was_on = Obs.enabled () in
   Obs.configure ();
-  let before = podem_runs () in
+  let before = read () in
   let r = Fun.protect ~finally:(fun () -> if not was_on then Obs.disable ()) f in
-  (r, podem_runs () - before)
+  (r, read () - before)
+
+(* The key older builds wrote; a store filled by one must keep hitting. *)
+let pinned_key nl = Structhash.netlist nl ^ "|bt=1000|rp=64|seed=42|scoap=true"
+
+let first_netlist seed =
+  let soc = Socet_cores.Gen.random_soc ~cores:1 ~hetero:true (Rng.create seed) in
+  (List.hd soc.Soc.insts).Soc.ci_netlist
 
 let force_atpg soc = List.map (fun ci -> Lazy.force ci.Soc.ci_atpg) soc.Soc.insts
 
 let test_stage_reuses_without_store () =
   let gen () = Socet_cores.Gen.random_soc ~cores:2 ~hetero:true (Rng.create 2201) in
   Cache.with_store None @@ fun () ->
-  let first, cold_runs = counting_podem_runs (fun () -> force_atpg (gen ())) in
+  let first, cold_runs = counting podem_runs (fun () -> force_atpg (gen ())) in
   check "the first build runs PODEM" true (cold_runs > 0);
-  let again, warm_runs = counting_podem_runs (fun () -> force_atpg (gen ())) in
+  let again, warm_runs = counting podem_runs (fun () -> force_atpg (gen ())) in
   check_int "the second build runs no PODEM" 0 warm_runs;
   check "the second build gets equal test sets" true (again = first)
 
@@ -431,6 +452,28 @@ let test_stage_keys_edited_netlist () =
   check "the edited core gets PODEM on the edited netlist" true
     (got = Socet_atpg.Podem.run nl)
 
+let test_engine_leaves_store_to_stage () =
+  let nl = first_netlist 2301 in
+  with_fresh_store @@ fun _dir s ->
+  Cache.with_store (Some s) @@ fun () ->
+  Cache.reset_scoreboard ();
+  let plain = Socet_atpg.Podem.run nl in
+  check "Podem.run looks nothing up" true (Cache.scoreboard () = []);
+  check "Podem.run writes no podem2 entry" true
+    (Store.find s ~ns:"podem2" ~key:(pinned_key nl) = None);
+  let staged, stores = counting cache_stores (fun () -> Soc.core_atpg nl) in
+  check "the stage misses once" true (Cache.scoreboard () = [ ("podem2", 0, 1) ]);
+  check_int "the stage stores once" 1 stores;
+  check "the stage returns the engine's record" true (staged = plain)
+
+let test_stage_key_pinned () =
+  let nl = first_netlist 2302 in
+  with_fresh_store @@ fun _dir s ->
+  Cache.with_store (Some s) @@ fun () ->
+  let stats = Soc.core_atpg nl in
+  check "the record sits under the pinned podem2 key" true
+    (Cache.find ~ns:"podem2" ~key:(pinned_key nl) = Some stats)
+
 let () =
   Alcotest.run "cache"
     [
@@ -460,6 +503,8 @@ let () =
           Alcotest.test_case "activation scoping + typed memo" `Quick
             test_cache_facade_scoping;
           Alcotest.test_case "per-namespace scoreboard" `Quick test_cache_scoreboard;
+          Alcotest.test_case "an unmarshalable value is not stored" `Quick
+            test_cache_memo_unmarshalable;
         ] );
       ( "end-to-end",
         [
@@ -476,5 +521,9 @@ let () =
             test_stage_does_not_bypass_store;
           Alcotest.test_case "a netlist edited after instantiate" `Quick
             test_stage_keys_edited_netlist;
+          Alcotest.test_case "the engine leaves the store to the stage" `Quick
+            test_engine_leaves_store_to_stage;
+          Alcotest.test_case "the stage's store key is pinned" `Quick
+            test_stage_key_pinned;
         ] );
     ]
