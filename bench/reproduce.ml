@@ -625,20 +625,17 @@ let resilience_section () =
 let tam_section () =
   section "Wrapper/TAM backend: TAT vs chip DFT area against the CCG flow";
   let module B = Socet_tam.Backend in
-  let plan_outcomes soc =
-    let get (module M : B.CHIP_BACKEND) =
-      match M.plan soc with
-      | Ok p -> (p.B.p_total_time, p.B.p_area_overhead)
-      | Error e -> failwith (Error.to_string e)
-    in
-    (get (module B.Ccg_backend), get (module B.Tam_backend))
+  let outcome = function
+    | Ok p -> (p.B.p_total_time, p.B.p_area_overhead)
+    | Error e -> failwith (Error.to_string e)
   in
   Ascii_table.print
     ~header:
       [ "system"; "ccg TAT"; "ccg area"; "tam TAT"; "tam area"; "tam speedup" ]
     (List.map
        (fun (label, soc) ->
-         let (ct, ca), (tt, ta) = plan_outcomes soc in
+         let ct, ca = outcome (B.Ccg_backend.plan soc) in
+         let tt, ta = outcome (B.Tam_backend.plan soc) in
          [
            label;
            string_of_int ct;

@@ -169,17 +169,15 @@ let cmd_cores opts () =
   let rows =
     List.map
       (fun (key, core) ->
-        let nl = Socet_synth.Elaborate.core_to_netlist core in
-        let rcg = Rcg.of_core core in
-        let hscan = Socet_scan.Hscan.insert rcg in
+        let ci = Soc.instantiate key core in
         [
           key;
-          string_of_int (Socet_netlist.Netlist.area nl);
-          string_of_int (List.length (Socet_netlist.Netlist.dffs nl));
+          string_of_int (Socet_netlist.Netlist.area ci.Soc.ci_netlist);
+          string_of_int (List.length (Socet_netlist.Netlist.dffs ci.Soc.ci_netlist));
           string_of_int (Rtl_core.input_bit_count core);
           string_of_int (Rtl_core.output_bit_count core);
-          string_of_int hscan.Socet_scan.Hscan.depth;
-          string_of_int (List.length (Version.generate rcg));
+          string_of_int ci.Soc.ci_hscan.Socet_scan.Hscan.depth;
+          string_of_int (List.length ci.Soc.ci_versions);
         ])
       (builtin_cores ())
   in
@@ -196,8 +194,8 @@ let cmd_core opts name =
   with_obs opts @@ fun () ->
   let core = core_of_name name in
   Format.printf "%a@." Rtl_core.pp core;
-  let rcg = Rcg.of_core core in
-  let hscan = Socet_scan.Hscan.insert rcg in
+  let ci = Soc.instantiate name core in
+  let rcg = ci.Soc.ci_rcg and hscan = ci.Soc.ci_hscan in
   Printf.printf "HSCAN: depth %d, %d cells, chains:\n"
     hscan.Socet_scan.Hscan.depth hscan.Socet_scan.Hscan.overhead_cells;
   List.iter
@@ -207,7 +205,6 @@ let cmd_core opts name =
         (String.concat " -> "
            (List.map (fun v -> (Rcg.node rcg v).Rcg.n_name) chain)))
     hscan.Socet_scan.Hscan.chains;
-  let versions = Version.generate rcg in
   List.iter
     (fun v ->
       Printf.printf "Version %d (%d cells):\n" v.Version.v_index
@@ -218,7 +215,7 @@ let cmd_core opts name =
             (Rcg.node rcg p.Version.pr_input).Rcg.n_name
             (Rcg.node rcg p.Version.pr_output).Rcg.n_name p.Version.pr_latency)
         v.Version.v_pairs)
-    versions;
+    ci.Soc.ci_versions;
   0
 
 (* ------------------------------------------------------------------ *)
@@ -348,30 +345,19 @@ let cmd_dot opts kind name =
 (* socet schedule                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let cmd_schedule opts cache system overlap backend =
+let cmd_schedule opts cache system overlap =
   with_obs opts @@ fun () ->
   activate_cache cache;
   let soc = system_of_name system in
-  match backend with
-  | `Tam ->
-      (* The wrapper/TAM schedule is inherently overlapped; --overlap is
-         implied.  An invalid packing never prints: the backend replays
-         every claim and surfaces a structured internal error instead. *)
-      let p = or_die (Socet_tam.Backend.Tam_backend.plan soc) in
-      (match p.Socet_tam.Backend.p_detail with
-      | Socet_tam.Backend.D_tam sched -> print_string (Socet_tam.Schedule.render sched)
-      | Socet_tam.Backend.D_ccg _ -> assert false);
-      0
-  | `Ccg ->
-      let choice = List.map (fun ci -> (ci.Soc.ci_name, 1)) soc.Soc.insts in
-      let s = Schedule.build soc ~choice () in
-      print_string (Schedule.render s);
-      if overlap then begin
-        let makespan, starts = Schedule.parallel_makespan s in
-        Printf.printf "overlapped makespan: %d cycles\n" makespan;
-        List.iter (fun (c, st) -> Printf.printf "  %s starts at cycle %d\n" c st) starts
-      end;
-      0
+  let choice = List.map (fun ci -> (ci.Soc.ci_name, 1)) soc.Soc.insts in
+  let s = Schedule.build soc ~choice () in
+  print_string (Schedule.render s);
+  if overlap then begin
+    let makespan, starts = Schedule.parallel_makespan s in
+    Printf.printf "overlapped makespan: %d cycles\n" makespan;
+    List.iter (fun (c, st) -> Printf.printf "  %s starts at cycle %d\n" c st) starts
+  end;
+  0
 
 (* ------------------------------------------------------------------ *)
 (* socet chip <system>                                                 *)
@@ -385,7 +371,7 @@ let cmd_chip opts cache system deadline strict backend =
           {
             Proto.ch_system = system;
             ch_strict = strict;
-            ch_backend = (match backend with `Ccg -> Proto.Ccg | `Tam -> Proto.Tam);
+            ch_backend = backend;
           }))
 
 (* ------------------------------------------------------------------ *)
@@ -395,8 +381,11 @@ let cmd_chip opts cache system deadline strict backend =
 let cmd_tam opts cache system fleet seed cores width =
   with_obs opts @@ fun () ->
   activate_cache cache;
-  match fleet with
-  | Some count ->
+  let invalid msg = raise (Err.Socet_error (Err.make ~engine:"cli" msg)) in
+  match (fleet, system) with
+  | Some _, Some _ -> invalid "tam takes a SYSTEM or --fleet N, not both"
+  | None, _ when cores <> None -> invalid "tam --cores needs --fleet N"
+  | Some count, None ->
       let entries = Socet_tam.Fleet.run ?width ?cores ~seed ~count () in
       print_string (Socet_tam.Fleet.render entries);
       let s = Socet_tam.Fleet.summarize entries in
@@ -406,27 +395,14 @@ let cmd_tam opts cache system fleet seed cores width =
         exit_internal
       end
       else 0
-  | None ->
-      let system =
-        match system with
-        | Some s -> s
-        | None ->
-            raise
-              (Err.Socet_error
-                 (Err.make ~engine:"cli" "tam needs a SYSTEM or --fleet N"))
-      in
+  | None, None -> invalid "tam needs a SYSTEM or --fleet N"
+  | None, Some system ->
+      (* The backend replays every packing: an invalid one is a
+         structured internal error (exit 1), never a printed schedule. *)
       let soc = system_of_name system in
-      let sched = Socet_tam.Schedule.build ?width soc in
-      print_string (Socet_tam.Schedule.render sched);
-      (match Socet_tam.Replay.check soc sched with
-      | [] -> 0
-      | issues ->
-          List.iter
-            (fun i ->
-              Printf.eprintf "socet: invalid TAM schedule: %s\n"
-                (Socet_tam.Replay.pp_issue i))
-            issues;
-          exit_internal)
+      let p = or_die (Socet_tam.Backend.Tam_backend.plan ?width soc) in
+      print_string (Socet_tam.Backend.render_detail p.Socet_tam.Backend.p_detail);
+      0
 
 (* ------------------------------------------------------------------ *)
 (* socet gen --seed N --cores K                                        *)
@@ -476,10 +452,11 @@ let cmd_atpg opts cache core =
 (* Both backends' reports for one SOC as a single string — the unit of
    byte-identity checking across diff-test passes. *)
 let plan_both soc width =
-  let choice = List.map (fun ci -> (ci.Soc.ci_name, 1)) soc.Soc.insts in
+  let module B = Socet_tam.Backend in
+  let render p = B.render_detail (or_die p).B.p_detail in
   (* Sequential lets: [^] may evaluate its right operand first. *)
-  let ccg = Schedule.render (Schedule.build soc ~choice ()) in
-  ccg ^ Socet_tam.Schedule.render (Socet_tam.Schedule.build ?width soc)
+  let ccg = render (B.Ccg_backend.plan soc) in
+  ccg ^ render (B.Tam_backend.plan ?width soc)
 
 (* A functional-but-equivalent netlist edit to the first core: an
    inverter pair spliced into its first primary output.  The logic
@@ -724,23 +701,11 @@ let bist_t =
   in
   Term.(const cmd_bist $ obs_opts_t $ words $ width)
 
-let backend_arg =
-  Arg.(
-    value
-    & opt (enum [ ("ccg", `Ccg); ("tam", `Tam) ]) `Ccg
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Chip test flow: $(b,ccg) (the paper's transparency access over \
-           the core connectivity graph) or $(b,tam) (IEEE 1500-style \
-           wrappers on a shared test access mechanism).")
-
 let schedule_t =
   let overlap =
     Arg.(value & flag & info [ "overlap" ] ~doc:"Also pack tests concurrently.")
   in
-  Term.(
-    const cmd_schedule $ obs_opts_t $ cache_arg $ system_arg $ overlap
-    $ backend_arg)
+  Term.(const cmd_schedule $ obs_opts_t $ cache_arg $ system_arg $ overlap)
 
 let chip_t =
   let deadline =
@@ -761,9 +726,19 @@ let chip_t =
             "Treat any degradation (a core falling back to FSCAN-BSCAN) \
              as a failure: exit with code 4 instead of 0.")
   in
+  let backend =
+    Arg.(
+      value
+      & opt (enum [ ("ccg", Proto.Ccg); ("tam", Proto.Tam) ]) Proto.Ccg
+      & info [ "backend" ] ~docv:"BACKEND"
+          ~doc:
+            "Chip test flow: $(b,ccg) (the paper's transparency access over \
+             the core connectivity graph) or $(b,tam) (IEEE 1500-style \
+             wrappers on a shared test access mechanism).")
+  in
   Term.(
     const cmd_chip $ obs_opts_t $ cache_arg $ system_arg $ deadline $ strict
-    $ backend_arg)
+    $ backend)
 
 let tam_t =
   let system =

@@ -44,6 +44,7 @@ let generate ?(decision_limit = 20_000) ?budget nl (fault : Fault.t) =
      plain values), so the frontier and observation checks scan the fault
      cone alone. *)
   let cone, _ = Flat.cone flat site in
+  let xp = Dcalc.xpath_scratch flat in
   let value g = compose m.g.(g) m.f.(g) in
   (* Forward evaluation of net [g] from current values, with the fault
      site's faulty plane pinned to the stuck value.  A source (PI,
@@ -175,8 +176,13 @@ let generate ?(decision_limit = 20_000) ?budget nl (fault : Fault.t) =
               List.exists try_cube (cubes g target)
         else
           (* Drive the error through one frontier gate; the implication
-             that starts the next step claims the gate's output. *)
-          List.exists (fun g -> List.exists try_cube (drive_cubes g)) (d_frontier ())
+             that starts the next step claims the gate's output.  Assigned
+             nets never change within a branch, so a frontier with no X
+             path to an observation point can never be driven out: the
+             branch fails without trying a cube. *)
+          let frontier = d_frontier () in
+          x_path_exists flat xp m frontier
+          && List.exists (fun g -> List.exists try_cube (drive_cubes g)) frontier
   (* Assign one cube and search on; undo it if that fails. *)
   and try_cube cube =
     bump ();

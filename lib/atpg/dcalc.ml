@@ -91,3 +91,41 @@ let d_frontier (fl : Flat.t) (cone : Flat.cone) m =
     then res := g :: !res
   done;
   !res
+
+(* [seen] holds the epoch of the last search that reached each gate. *)
+type xpath = { seen : int array; queue : int array; mutable epoch : int }
+
+let xpath_scratch (fl : Flat.t) =
+  { seen = Array.make fl.Flat.n 0; queue = Array.make (max 1 fl.Flat.n) 0; epoch = 0 }
+
+let x_path_exists (fl : Flat.t) xp m frontier =
+  let kinds = fl.Flat.kinds and fo_off = fl.Flat.fanout_off and fo = fl.Flat.fanout in
+  let seen = xp.seen and xq = xp.queue in
+  xp.epoch <- xp.epoch + 1;
+  let ep = xp.epoch in
+  let tail = ref 0 in
+  List.iter
+    (fun g ->
+      seen.(g) <- ep;
+      xq.(!tail) <- g;
+      incr tail)
+    frontier;
+  let head = ref 0 and found = ref false in
+  while (not !found) && !head < !tail do
+    let g = xq.(!head) in
+    incr head;
+    if fl.Flat.is_obs.(g) then found := true
+    else
+      for j = fo_off.(g) to fo_off.(g + 1) - 1 do
+        let h = fo.(j) in
+        if seen.(h) <> ep
+           && kinds.(h) < Flat.k_dff
+           && (m.g.(h) = TX || m.f.(h) = TX)
+        then begin
+          seen.(h) <- ep;
+          xq.(!tail) <- h;
+          incr tail
+        end
+      done
+  done;
+  !found

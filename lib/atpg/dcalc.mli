@@ -35,3 +35,16 @@ val d_frontier : Flat.t -> Flat.cone -> machine -> int list
 (** Combinational gates with an X output (on either plane) and a D on
     some input, in global topological order: cone gates keep that order,
     so this is the list a scan of the whole netlist would give. *)
+
+type xpath
+(** Scratch for {!x_path_exists}: one visit mark per net and a search
+    queue, reused across calls by an epoch counter.  Allocate it once per
+    fault, not per call. *)
+
+val xpath_scratch : Flat.t -> xpath
+
+val x_path_exists : Flat.t -> xpath -> machine -> int list -> bool
+(** [x_path_exists fl xp m frontier]: some gate of the D-frontier reaches
+    an observation point ([Flat.is_obs]) through combinational gates
+    whose output is X on either plane.  When it fails, no further
+    assignment can observe the error, so the search may backtrack. *)

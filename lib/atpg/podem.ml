@@ -120,41 +120,9 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
     done;
     top := 0
   in
-  (* X-path check: can a D on the frontier still reach an observation
-     point through X-valued nets?  [seen] holds the epoch of the last
-     search that reached each gate. *)
-  let seen = Array.make n 0 and epoch = ref 0 in
-  let xq = Array.make (max 1 n) 0 in
-  let x_path_exists frontier =
-    incr epoch;
-    let ep = !epoch in
-    let tail = ref 0 in
-    List.iter
-      (fun g ->
-        seen.(g) <- ep;
-        xq.(!tail) <- g;
-        incr tail)
-      frontier;
-    let head = ref 0 and found = ref false in
-    while (not !found) && !head < !tail do
-      let g = xq.(!head) in
-      incr head;
-      if flat.Flat.is_obs.(g) then found := true
-      else
-        for j = fo_off.(g) to fo_off.(g + 1) - 1 do
-          let h = fo.(j) in
-          if seen.(h) <> ep
-             && kinds.(h) < Flat.k_dff
-             && (m.g.(h) = TX || m.f.(h) = TX)
-          then begin
-            seen.(h) <- ep;
-            xq.(!tail) <- h;
-            incr tail
-          end
-        done
-    done;
-    !found
-  in
+  (* X-path check scratch: can a D on the frontier still reach an
+     observation point through X-valued nets? *)
+  let xp = Dcalc.xpath_scratch flat in
   (* Fault effect can also still be unactivated but activatable. *)
   let site_ok () =
     match m.g.(site) with
@@ -276,7 +244,7 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
       let dead =
         (not (site_ok ()))
         || (m.g.(site) <> TX && frontier = [])
-        || (frontier <> [] && not (x_path_exists frontier))
+        || (frontier <> [] && not (x_path_exists flat xp m frontier))
       in
       let next_decision =
         if dead then None

@@ -106,7 +106,7 @@ let run_explore ~deadline_ms e =
 
 (* Both backends produce the same report shape; for ccg this renders the
    historical bytes exactly (DESIGN.md §11's byte-identity contract spans
-   the backend seam too — CI diffs server output against the direct CLI). *)
+   both backends — CI diffs server output against the direct CLI). *)
 let render_plan (p : Backend.plan) =
   let out = Buffer.create 1024 in
   Buffer.add_string out
@@ -137,12 +137,11 @@ let run_chip ~deadline_ms c =
       (fun s -> Budget.create ~label:"chip" ~deadline_s:s ())
       (deadline_s deadline_ms)
   in
-  let (module B : Backend.CHIP_BACKEND) =
+  let* p =
     match c.Proto.ch_backend with
-    | Proto.Ccg -> (module Backend.Ccg_backend)
-    | Proto.Tam -> (module Backend.Tam_backend)
+    | Proto.Ccg -> Backend.Ccg_backend.plan ?budget soc
+    | Proto.Tam -> Backend.Tam_backend.plan ?budget soc
   in
-  let* p = B.plan ?budget soc in
   let out = render_plan p in
   if c.Proto.ch_strict && p.Backend.p_degraded > 0 then
     ok out

@@ -1,4 +1,5 @@
-(* The chip-backend seam: CCG/transparency vs wrapper/TAM (backend.mli). *)
+(* The two chip-level test flows: CCG/transparency vs wrapper/TAM
+   (backend.mli). *)
 
 module Soc = Socet_core.Soc
 module Resilient = Socet_core.Resilient
@@ -9,7 +10,6 @@ type core_row = { r_inst : string; r_mech : string; r_time : int; r_area : int }
 type detail = D_ccg of Socet_core.Schedule.t | D_tam of Schedule.t
 
 type plan = {
-  p_backend : string;
   p_rows : core_row list;
   p_total_time : int;
   p_area_overhead : int;
@@ -17,19 +17,10 @@ type plan = {
   p_detail : detail;
 }
 
-module type CHIP_BACKEND = sig
-  val name : string
-
-  val plan :
-    ?budget:Socet_util.Budget.t -> Soc.t -> (plan, Socet_util.Error.t) result
-end
-
 let c_ccg_plans = Obs.counter ~scope:"tam" "backend.ccg_plans"
 let c_tam_plans = Obs.counter ~scope:"tam" "backend.tam_plans"
 
 module Ccg_backend = struct
-  let name = "ccg"
-
   let plan ?budget soc =
     Obs.incr c_ccg_plans;
     Obs.with_span ~cat:"tam" "backend.ccg.plan" @@ fun () ->
@@ -37,7 +28,6 @@ module Ccg_backend = struct
     Result.map
       (fun (p : Resilient.plan) ->
         {
-          p_backend = name;
           p_rows =
             List.map
               (fun (cp : Resilient.core_plan) ->
@@ -59,56 +49,39 @@ module Ccg_backend = struct
       (Resilient.plan ?budget soc ~choice ())
 end
 
-let tam_plan ?budget ~width soc =
-  Obs.incr c_tam_plans;
-  Obs.with_span ~cat:"tam" "backend.tam.plan" @@ fun () ->
-  match
-    Err.guard ~engine:"tam" (fun () -> Schedule.build ?budget ?width soc)
-  with
-  | Error e -> Error e
-  | Ok sched -> (
-      match Replay.check soc sched with
-      | issue :: _ ->
-          Err.error ~kind:Err.Internal ~engine:"tam"
-            ~ctx:[ ("soc", soc.Soc.soc_name) ]
-            (Printf.sprintf "invalid TAM schedule: %s" (Replay.pp_issue issue))
-      | [] ->
-          Ok
-            {
-              p_backend = "tam";
-              p_rows =
-                List.map
-                  (fun (p : Schedule.placement) ->
-                    {
-                      r_inst = p.Schedule.pl_inst;
-                      r_mech =
-                        Printf.sprintf "wrapper %d lane(s)" p.Schedule.pl_width;
-                      r_time = p.Schedule.pl_time;
-                      r_area = p.Schedule.pl_wrapper.Wrapper.w_area;
-                    })
-                  sched.Schedule.t_placements;
-              p_total_time = sched.Schedule.t_total_time;
-              p_area_overhead = sched.Schedule.t_area_overhead;
-              p_degraded = 0;
-              p_detail = D_tam sched;
-            })
-
 module Tam_backend = struct
-  let name = "tam"
-  let plan ?budget soc = tam_plan ?budget ~width:None soc
+  let plan ?budget ?width soc =
+    Obs.incr c_tam_plans;
+    Obs.with_span ~cat:"tam" "backend.tam.plan" @@ fun () ->
+    let ( let* ) = Result.bind in
+    let* sched =
+      Err.guard ~engine:"tam" (fun () -> Schedule.build ?budget ?width soc)
+    in
+    match Replay.check soc sched with
+    | issue :: _ ->
+        Err.error ~kind:Err.Internal ~engine:"tam"
+          ~ctx:[ ("soc", soc.Soc.soc_name) ]
+          (Printf.sprintf "invalid TAM schedule: %s" (Replay.pp_issue issue))
+    | [] ->
+        Ok
+          {
+            p_rows =
+              List.map
+                (fun (p : Schedule.placement) ->
+                  {
+                    r_inst = p.Schedule.pl_inst;
+                    r_mech = Printf.sprintf "wrapper %d lane(s)" p.Schedule.pl_width;
+                    r_time = p.Schedule.pl_time;
+                    r_area = p.Schedule.pl_wrapper.Wrapper.w_area;
+                  })
+                sched.Schedule.t_placements;
+            p_total_time = sched.Schedule.t_total_time;
+            p_area_overhead = sched.Schedule.t_area_overhead;
+            p_degraded = 0;
+            p_detail = D_tam sched;
+          }
 end
 
-let tam ?width () : (module CHIP_BACKEND) =
-  (module struct
-    let name = "tam"
-    let plan ?budget soc = tam_plan ?budget ~width soc
-  end)
-
-let names = [ "ccg"; "tam" ]
-
-let of_name = function
-  | "ccg" -> Ok (module Ccg_backend : CHIP_BACKEND)
-  | "tam" -> Ok (module Tam_backend : CHIP_BACKEND)
-  | b ->
-      Err.error ~engine:"tam"
-        (Printf.sprintf "unknown backend %S (use ccg or tam)" b)
+let render_detail = function
+  | D_ccg s -> Socet_core.Schedule.render s
+  | D_tam s -> Schedule.render s

@@ -1,13 +1,15 @@
-(** The chip-backend seam: two interchangeable chip-level test flows.
+(** The two chip-level test flows, as two plain functions.
 
     The paper's CCG/transparency flow ({!Socet_core.Resilient} over
     {!Socet_core.Schedule}) and the wrapper/TAM flow ({!Schedule} here)
     answer the same question — how long does testing the whole chip take
-    and what chip-level DFT does it cost — so they share one interface.
-    [socet chip --backend ccg] vs [--backend tam], [socet schedule],
-    the server's chip requests, the fleet driver and the bench all
-    dispatch through it; each implementation keeps its own obs counters
-    and span timers under [tam.backend.*]. *)
+    and what chip-level DFT does it cost — so both return a {!plan}.
+    [socet chip --backend ccg|tam], [socet tam], the server's chip
+    requests, the fleet driver, [socet diff-test] and the bench call
+    {!Ccg_backend.plan} and {!Tam_backend.plan} directly; each keeps its
+    own obs counter and span under [tam.backend.*].  Neither raises:
+    budget exhaustion degrades (CCG) or stops the improvement pass early
+    (TAM), and bad input comes back as a structured error. *)
 
 type core_row = {
   r_inst : string;
@@ -22,7 +24,6 @@ type detail =
   | D_tam of Schedule.t  (** the raw schedule, for replay-style checks *)
 
 type plan = {
-  p_backend : string;
   p_rows : core_row list;
   p_total_time : int;
   p_area_overhead : int;  (** chip-level DFT (excludes the shared
@@ -32,30 +33,28 @@ type plan = {
   p_detail : detail;
 }
 
-module type CHIP_BACKEND = sig
-  val name : string
-
+module Ccg_backend : sig
   val plan :
     ?budget:Socet_util.Budget.t ->
     Socet_core.Soc.t ->
     (plan, Socet_util.Error.t) result
-  (** Never raises; budget exhaustion degrades (CCG) or stops the
-      improvement pass early (TAM). *)
+  (** The paper's flow: all cores at version 1, graceful degradation via
+      {!Socet_core.Resilient.plan}. *)
 end
 
-module Ccg_backend : CHIP_BACKEND
-(** The paper's flow: all cores at version 1, graceful degradation via
-    {!Socet_core.Resilient.plan}. *)
+module Tam_backend : sig
+  val plan :
+    ?budget:Socet_util.Budget.t ->
+    ?width:int ->
+    Socet_core.Soc.t ->
+    (plan, Socet_util.Error.t) result
+  (** The wrapper/TAM flow at [width] wires (default
+      {!Schedule.default_width}).  The returned plan has already passed
+      {!Replay.check}: an invalid packing surfaces as a structured
+      [Internal] error, never as a wrong schedule, and a [width] below 1
+      as an invalid-input error. *)
+end
 
-module Tam_backend : CHIP_BACKEND
-(** The wrapper/TAM flow at {!Schedule.default_width}; the returned plan
-    has already passed {!Replay.check} (an invalid packing surfaces as a
-    structured [Internal] error, never as a wrong schedule). *)
-
-val tam : ?width:int -> unit -> (module CHIP_BACKEND)
-(** A TAM backend at a chosen width. *)
-
-val names : string list
-(** [["ccg"; "tam"]] — the [--backend] vocabulary. *)
-
-val of_name : string -> ((module CHIP_BACKEND), Socet_util.Error.t) result
+val render_detail : detail -> string
+(** The plan's full schedule table: {!Socet_core.Schedule.render} or
+    {!Schedule.render}. *)

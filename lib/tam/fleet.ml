@@ -41,8 +41,7 @@ let one ~width ~cores ~hetero ~seed i =
   let rng = entry_rng ~seed i in
   let soc = Socet_cores.Gen.random_soc ?cores ~hetero rng in
   let issues = ref 0 in
-  let outcome_of (module B : Backend.CHIP_BACKEND) =
-    match B.plan soc with
+  let outcome_of = function
     | Error e ->
         (* A TAM replay violation arrives as a structured Internal error. *)
         if e.Err.err_kind = Err.Internal then incr issues;
@@ -55,8 +54,8 @@ let one ~width ~cores ~hetero ~seed i =
         | _ -> ());
         Ok { o_time = p.Backend.p_total_time; o_area = p.Backend.p_area_overhead }
   in
-  let e_ccg = outcome_of (module Backend.Ccg_backend) in
-  let e_tam = outcome_of (Backend.tam ?width ()) in
+  let e_ccg = outcome_of (Backend.Ccg_backend.plan soc) in
+  let e_tam = outcome_of (Backend.Tam_backend.plan ?width soc) in
   Obs.add c_issues !issues;
   {
     e_index = i;

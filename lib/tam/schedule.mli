@@ -53,6 +53,5 @@ val build : ?budget:Socet_util.Budget.t -> ?width:int -> Socet_core.Soc.t -> t
     pass runs to its plateau.  @raise Invalid_argument if [width < 1]. *)
 
 val render : t -> string
-(** The [socet tam]/[socet chip --backend tam] table: one row per core
-    (lanes, wire band, start, time, wrapper area) plus the totals line —
-    shared by the CLI and the server so responses stay byte-identical. *)
+(** The [socet tam SYSTEM] table: one row per core (lanes, wire band,
+    start, time, wrapper area) plus the totals line. *)

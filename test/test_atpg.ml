@@ -628,6 +628,21 @@ let test_dalg_paper_cores_golden () =
     "decisions / frontier observations / frontier sum" [ 20_377; 12_705; 27_434 ]
     [ Obs.value decisions - d0; c1 - c0; s1 - s0 ]
 
+(* Seed 118 of the oracle's generator is a 38-gate netlist on which
+   i7/sa0 is redundant.  Without an X-path check the D-algorithm spent its
+   whole 20,000-decision limit driving the error toward frontiers that
+   could no longer reach an output, and aborted. *)
+let test_dalg_x_path_prunes () =
+  let nl, _ = random_comb_netlist (Rng.create 118) in
+  match List.find_opt (fun f -> Fault.name nl f = "i7/sa0") (Fault.all nl) with
+  | None -> Alcotest.fail "no i7/sa0 fault"
+  | Some f -> (
+      check "PODEM proves it untestable" true (Podem.generate nl f = Podem.Untestable);
+      match Dalg.generate nl f with
+      | Dalg.Untestable -> ()
+      | Dalg.Aborted -> Alcotest.fail "D-alg aborted"
+      | Dalg.Test _ -> Alcotest.fail "D-alg found a test for a redundant fault")
+
 let dalg_tests =
   [
     Alcotest.test_case "sound on adder" `Quick test_dalg_sound_on_adder;
@@ -635,6 +650,8 @@ let dalg_tests =
     Alcotest.test_case "mux circuit" `Quick test_dalg_mux_circuit;
     Alcotest.test_case "run stats" `Quick test_dalg_run_stats;
     Alcotest.test_case "paper cores golden" `Quick test_dalg_paper_cores_golden;
+    Alcotest.test_case "X-path check ends a redundant fault" `Quick
+      test_dalg_x_path_prunes;
   ]
 
 

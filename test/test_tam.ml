@@ -104,36 +104,55 @@ let test_budget_only_limits_improvement () =
     (free.Schedule.t_total_time <= starved.Schedule.t_total_time)
 
 (* ------------------------------------------------------------------ *)
-(* The backend seam on the paper's systems                             *)
+(* The two backends on the paper's systems                             *)
 (* ------------------------------------------------------------------ *)
+
+let paper_systems () =
+  [
+    ("system1", Socet_cores.Systems.system1 ());
+    ("system2", Socet_cores.Systems.system2 ());
+  ]
 
 let test_backends_on_paper_systems () =
   List.iter
     (fun (name, soc) ->
       List.iter
-        (fun backend ->
-          match Backend.of_name backend with
-          | Error e -> Alcotest.failf "%s: %s" name (Error.to_string e)
-          | Ok (module B : Backend.CHIP_BACKEND) -> (
-              match B.plan soc with
-              | Error e ->
-                  Alcotest.failf "%s/%s: %s" name backend (Error.to_string e)
-              | Ok p ->
-                  check (name ^ "/" ^ backend ^ " rows") true
-                    (List.length p.Backend.p_rows = List.length soc.Socet_core.Soc.insts);
-                  check (name ^ "/" ^ backend ^ " time positive") true
-                    (p.Backend.p_total_time > 0);
-                  check (name ^ "/" ^ backend ^ " area positive") true
-                    (p.Backend.p_area_overhead > 0)))
-        Backend.names)
-    [
-      ("system1", Socet_cores.Systems.system1 ());
-      ("system2", Socet_cores.Systems.system2 ());
-    ]
+        (fun (backend, result) ->
+          match result with
+          | Error e -> Alcotest.failf "%s/%s: %s" name backend (Error.to_string e)
+          | Ok p ->
+              check (name ^ "/" ^ backend ^ " rows") true
+                (List.length p.Backend.p_rows = List.length soc.Socet_core.Soc.insts);
+              check (name ^ "/" ^ backend ^ " time positive") true
+                (p.Backend.p_total_time > 0);
+              check (name ^ "/" ^ backend ^ " area positive") true
+                (p.Backend.p_area_overhead > 0))
+        [
+          ("ccg", Backend.Ccg_backend.plan soc);
+          ("tam", Backend.Tam_backend.plan soc);
+        ])
+    (paper_systems ())
 
-let test_unknown_backend_rejected () =
-  match Backend.of_name "mux" with
-  | Ok _ -> Alcotest.fail "backend \"mux\" should not resolve"
+(* [socet tam SYSTEM --width W] prints the backend's plan, so at every
+   width the plan must carry exactly the schedule [Schedule.build] packs.
+   A plan is returned only after its replay came back clean. *)
+let test_tam_plan_is_the_packed_schedule () =
+  List.iter
+    (fun (name, soc) ->
+      List.iter
+        (fun width ->
+          let what = Printf.sprintf "%s width %d" name width in
+          match Backend.Tam_backend.plan ~width soc with
+          | Error e -> Alcotest.failf "%s: %s" what (Error.to_string e)
+          | Ok { Backend.p_detail = Backend.D_tam s; _ } ->
+              check (what ^ " same schedule") true (s = Schedule.build ~width soc)
+          | Ok _ -> Alcotest.failf "%s: not a TAM schedule" what)
+        [ 4; 8; 16; 32 ])
+    (paper_systems ())
+
+let test_tam_width_below_one_rejected () =
+  match Backend.Tam_backend.plan ~width:0 (Socet_cores.Systems.system1 ()) with
+  | Ok _ -> Alcotest.fail "width 0 should not plan"
   | Error e -> check_int "invalid-input exit" 3 (Error.exit_code e)
 
 (* ------------------------------------------------------------------ *)
@@ -164,6 +183,25 @@ let test_fleet_deterministic_across_jobs () =
   Alcotest.(check (list string)) "jobs 1 = jobs 2" f1 f2;
   Alcotest.(check (list string)) "jobs 1 = jobs 4" f1 f4
 
+(* A fleet entry's TAM column is exactly [Tam_backend.plan] on the SOC
+   its seed regenerates. *)
+let test_fleet_entry_matches_backend () =
+  let seed = 5 and width = 8 in
+  let entries = Fleet.run ~width ~seed ~count:3 () in
+  List.iter
+    (fun e ->
+      let soc =
+        Socet_cores.Gen.random_soc ~hetero:true
+          (Rng.create ((seed * 1_000_003) + e.Fleet.e_index))
+      in
+      Alcotest.(check string) "same SOC" e.Fleet.e_soc soc.Socet_core.Soc.soc_name;
+      match (e.Fleet.e_tam, Backend.Tam_backend.plan ~width soc) with
+      | Ok o, Ok p ->
+          check_int "TAT" p.Backend.p_total_time o.Fleet.o_time;
+          check_int "area" p.Backend.p_area_overhead o.Fleet.o_area
+      | _ -> Alcotest.failf "entry %d: a TAM plan failed" e.Fleet.e_index)
+    entries
+
 let test_fleet_clean () =
   let entries = Fleet.run ~seed:11 ~count:16 () in
   let s = Fleet.summarize entries in
@@ -191,8 +229,10 @@ let () =
         [
           Alcotest.test_case "both backends on systems 1-2" `Slow
             test_backends_on_paper_systems;
-          Alcotest.test_case "unknown backend rejected" `Quick
-            test_unknown_backend_rejected;
+          Alcotest.test_case "tam plan is the packed schedule at widths 4-32"
+            `Slow test_tam_plan_is_the_packed_schedule;
+          Alcotest.test_case "tam width below 1 is invalid input" `Quick
+            test_tam_width_below_one_rejected;
         ] );
       ( "fleet",
         [
@@ -200,5 +240,7 @@ let () =
             test_fleet_deterministic_across_jobs;
           Alcotest.test_case "clean run, no failures or issues" `Slow
             test_fleet_clean;
+          Alcotest.test_case "entry TAM outcome is the backend's plan" `Slow
+            test_fleet_entry_matches_backend;
         ] );
     ]
