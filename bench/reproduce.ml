@@ -428,24 +428,6 @@ let ablations_extensions () =
          ])
        [ ("System 1 (chain)", soc1); ("System 2 (chain)", soc2);
          ("System 3 (3 islands)", soc3) ]);
-  section "Ablation: D-algorithm vs PODEM (sampled faults, small cores)";
-  Ascii_table.print
-    ~header:
-      [ "core"; "D-alg cov%"; "D-alg eff%"; "PODEM cov%"; "PODEM eff%"; "note" ]
-    (List.map
-       (fun core ->
-         let nl = Socet_synth.Elaborate.core_to_netlist core in
-         let d = Socet_atpg.Dalg.run ~sample:13 ~decision_limit:4000 nl in
-         let p = Socet_atpg.Podem.run nl in
-         [
-           Rtl_core.name core;
-           pct d.Socet_atpg.Dalg.coverage;
-           pct d.Socet_atpg.Dalg.efficiency;
-           pct p.Socet_atpg.Podem.coverage;
-           pct p.Socet_atpg.Podem.efficiency;
-           "single-path sensitization";
-         ])
-       [ Gcd_core.core (); X25.core () ]);
   section "Ablation: SCOAP-guided vs unguided PODEM";
   Ascii_table.print
     ~header:[ "core"; "guided vec"; "guided abort"; "unguided vec"; "unguided abort" ]
@@ -578,28 +560,34 @@ let diagnosis_section () =
 let resilience_section () =
   section "Resilience: degradation ladders (robustness extension)";
   (* Per-fault ladder: a starvation-level PODEM backtrack limit forces
-     aborts, so the D-algorithm rescue and random top-off rungs fire. *)
+     aborts, so the escalated retry and random top-off rungs fire. *)
   let nl = Socet_synth.Elaborate.core_to_netlist (Cpu.core ()) in
   let faults = Socet_atpg.Fault.collapse nl in
-  let tally = Hashtbl.create 4 in
+  let rows =
+    [ "PODEM"; "escalated PODEM"; "random top-off";
+      "untestable after escalation"; "still aborted" ]
+  in
+  let tally = Hashtbl.create 8 in
   List.iter
     (fun f ->
       let r = Resilient.generate_fault ~backtrack_limit:1 nl f in
       let key =
         match (r.Resilient.a_rung, r.Resilient.a_outcome) with
         | Resilient.R_podem, _ -> "PODEM"
-        | Resilient.R_dalg, _ -> "D-alg rescue"
+        | Resilient.R_escalated, _ -> "escalated PODEM"
         | Resilient.R_random, Socet_atpg.Podem.Test _ -> "random top-off"
-        | Resilient.R_random, _ -> "still aborted"
+        | Resilient.R_random, Socet_atpg.Podem.Untestable ->
+            "untestable after escalation"
+        | Resilient.R_random, Socet_atpg.Podem.Aborted -> "still aborted"
       in
       Hashtbl.replace tally key (1 + Option.value ~default:0 (Hashtbl.find_opt tally key)))
     faults;
   Ascii_table.print
     ~header:[ "rung (CPU core, backtrack limit 1)"; "faults resolved" ]
-    (List.filter_map
+    (List.map
        (fun k ->
-         Option.map (fun v -> [ k; string_of_int v ]) (Hashtbl.find_opt tally k))
-       [ "PODEM"; "D-alg rescue"; "random top-off"; "still aborted" ]);
+         [ k; string_of_int (Option.value ~default:0 (Hashtbl.find_opt tally k)) ])
+       rows);
   (* Per-core ladder: fail every access-routing site and check the chip
      plan still comes out whole, every core on the FSCAN-BSCAN rung. *)
   let show label plan_result =

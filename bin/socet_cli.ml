@@ -382,6 +382,12 @@ let cmd_tam opts cache system fleet seed cores width =
   with_obs opts @@ fun () ->
   activate_cache cache;
   let invalid msg = raise (Err.Socet_error (Err.make ~engine:"cli" msg)) in
+  List.iter
+    (function
+      | flag, Some n when n < 1 ->
+          invalid (Printf.sprintf "tam --%s must be at least 1, got %d" flag n)
+      | _ -> ())
+    [ ("fleet", fleet); ("cores", cores); ("width", width) ];
   match (fleet, system) with
   | Some _, Some _ -> invalid "tam takes a SYSTEM or --fleet N, not both"
   | None, _ when cores <> None -> invalid "tam --cores needs --fleet N"

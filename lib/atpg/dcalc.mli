@@ -1,11 +1,11 @@
-(** The five-valued D-calculus that both deterministic engines search
-    over ({!Podem} and {!Dalg}), on the flat form ({!Socet_netlist.Flat}).
+(** The five-valued D-calculus that {!Podem} searches over, on the flat
+    form ({!Socet_netlist.Flat}).
 
     A composite value is a pair of ternary values: the good machine's and
     the faulty machine's.  D is (1, 0), D-bar is (0, 1), and a pair with
     an X on either side carries no error.  The two planes are plain
-    arrays indexed by net, so an engine's hot loop reads and writes them
-    directly. *)
+    arrays indexed by net, so the search's hot loop reads and writes
+    them directly. *)
 
 open Socet_netlist
 

@@ -13,13 +13,23 @@ let observe nl ~vectors ~fault =
   syn
 
 let build nl ~vectors ~faults =
-  (* One pattern-parallel pass per vector over all faults would be ideal;
-     the straightforward per-fault loop reuses the cone-limited simulator
-     and is fast enough for dictionary-sized cores. *)
+  (* One fault-simulation pass per vector: the good circuit is evaluated
+     once per vector, not once per fault per vector.  Detection is looked
+     up by fault, so a fault listed twice gets one syndrome at both
+     indices. *)
   let d_faults = Array.of_list faults in
-  let d_syndromes =
-    Array.map (fun fault -> observe nl ~vectors ~fault) d_faults
-  in
+  let nv = List.length vectors in
+  let d_syndromes = Array.map (fun _ -> Bitvec.create nv) d_faults in
+  List.iteri
+    (fun i vec ->
+      let hit = Hashtbl.create 64 in
+      List.iter
+        (fun f -> Hashtbl.replace hit f ())
+        (Fsim.run_comb nl ~vectors:[ vec ] ~faults);
+      Array.iteri
+        (fun j f -> if Hashtbl.mem hit f then Bitvec.set d_syndromes.(j) i true)
+        d_faults)
+    vectors;
   { d_faults; d_syndromes }
 
 let syndrome_of dict f =

@@ -11,8 +11,9 @@ open Socet_netlist
 type dictionary
 
 val build : Netlist.t -> vectors:Bitvec.t list -> faults:Fault.t list -> dictionary
-(** Simulates every fault against every vector; the per-fault syndrome is
-    the bitset of failing vectors. *)
+(** Simulates every fault against every vector, one {!Fsim.run_comb}
+    pass per vector; the per-fault syndrome is the bitset of failing
+    vectors. *)
 
 val syndrome_of : dictionary -> Fault.t -> Bitvec.t option
 (** The recorded syndrome, if the fault is in the dictionary. *)

@@ -232,7 +232,7 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
   while !result = None do
     if (match budget with Some b -> not (Budget.spend b) | None -> false) then
       (* Fuel or deadline gone mid-search: degrade to Aborted so the
-         caller's ladder (D-alg retry, random top-off) can take over. *)
+         caller's ladder (escalated retry, random top-off) can take over. *)
       result := Some Aborted
     else if observable_d flat cone m then begin
       let vec = Bitvec.create ninputs in

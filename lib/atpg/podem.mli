@@ -3,7 +3,7 @@
     Decision variables are the circuit's inputs in the scan sense: primary
     inputs plus flip-flop (pseudo) inputs.  Observation points are primary
     outputs plus flip-flop D captures.  The search runs on the five-valued
-    machine of {!Dcalc}, shared with {!Dalg}. *)
+    machine of {!Dcalc}. *)
 
 open Socet_util
 open Socet_netlist

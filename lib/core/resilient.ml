@@ -11,14 +11,15 @@ let () = Budget.set_clock Socet_obs.Clock.now_us
 (* Observability: one counter per ladder rung, so a degraded run is
    legible from --stats alone. *)
 let c_fallbacks = Obs.counter ~scope:"core" "resilient.fallbacks"
-let c_dalg_rescues = Obs.counter ~scope:"core" "resilient.dalg_rescues"
+let c_escalated_rescues =
+  Obs.counter ~scope:"core" "resilient.escalated_rescues"
 let c_random_topoffs = Obs.counter ~scope:"core" "resilient.random_topoffs"
 
 (* ------------------------------------------------------------------ *)
 (* Per-fault ATPG ladder                                              *)
 (* ------------------------------------------------------------------ *)
 
-type atpg_rung = R_podem | R_dalg | R_random
+type atpg_rung = R_podem | R_escalated | R_random
 
 type atpg_result = { a_outcome : Podem.outcome; a_rung : atpg_rung }
 
@@ -28,26 +29,28 @@ let generate_fault ?(backtrack_limit = 1000) ?scoap ?budget ?(seed = 42)
   | (Podem.Test _ | Podem.Untestable) as outcome ->
       { a_outcome = outcome; a_rung = R_podem }
   | Podem.Aborted -> (
-      (* Rung 2: the D-algorithm decides on internal lines, so it can
-         crack faults whose PI-only search space defeats PODEM.  The
-         escalated limit reflects that this is the expensive last
-         deterministic attempt. *)
-      let decision_limit = max 20_000 (8 * backtrack_limit) in
-      match Dalg.generate ~decision_limit ?budget nl fault with
-      | Dalg.Test vec ->
-          Obs.incr c_dalg_rescues;
-          { a_outcome = Podem.Test vec; a_rung = R_dalg }
-      | Dalg.Untestable | Dalg.Aborted -> (
-          (* Rung 3: cheap random top-off.  A Dalg [Untestable] is not
-             trusted as redundancy proof (single-path sensitization gap),
-             so the fault still gets the random shot. *)
+      (* Rung 2: the same search at an escalated backtrack limit.  The
+         limit only ends a search, so this is the expensive last
+         deterministic attempt, not a different one. *)
+      let backtrack_limit = max 20_000 (8 * backtrack_limit) in
+      match Podem.generate ~backtrack_limit ?scoap ?budget nl fault with
+      | Podem.Test _ as outcome ->
+          Obs.incr c_escalated_rescues;
+          { a_outcome = outcome; a_rung = R_escalated }
+      | (Podem.Untestable | Podem.Aborted) as verdict ->
+          (* Rung 3: cheap random top-off.  An [Untestable] here still
+             gets the random shot: PODEM's redundancy proof is unsound on
+             flip-flop enables (the D-frontier lists no flops), and the
+             top-off finds tests for some of those faults.  Drop the shot
+             for [Untestable] once the frontier covers flops.  On a miss
+             the fault keeps rung 2's verdict. *)
           let veclen = Fsim.vector_length nl in
           let rng = Rng.create seed in
           let rec try_random k =
-            if k = 0 then { a_outcome = Podem.Aborted; a_rung = R_random }
+            if k = 0 then { a_outcome = verdict; a_rung = R_random }
             else if
               match budget with Some b -> not (Budget.spend b) | None -> false
-            then { a_outcome = Podem.Aborted; a_rung = R_random }
+            then { a_outcome = verdict; a_rung = R_random }
             else
               let vec = Rng.bitvec rng veclen in
               if Fsim.detects_comb nl vec fault then begin
@@ -56,8 +59,8 @@ let generate_fault ?(backtrack_limit = 1000) ?scoap ?budget ?(seed = 42)
               end
               else try_random (k - 1)
           in
-          if veclen = 0 then { a_outcome = Podem.Aborted; a_rung = R_random }
-          else try_random topoff_patterns))
+          if veclen = 0 then { a_outcome = verdict; a_rung = R_random }
+          else try_random topoff_patterns)
 
 (* ------------------------------------------------------------------ *)
 (* Per-core scheduling ladder                                          *)

@@ -1,25 +1,24 @@
 (** Graceful degradation ladders for the SOCET flow.
 
-    The search engines underneath the flow are all incomplete: PODEM and
-    the D-algorithm abort on hard faults, transparency-path search gives
-    up when its budget runs out, and the chip-level router can fail to
-    justify or observe a port at all.  This module turns each of those
-    partial failures into a {e degraded but valid} answer instead of an
-    error:
+    The search engines underneath the flow are all incomplete: PODEM
+    aborts on hard faults, transparency-path search gives up when its
+    budget runs out, and the chip-level router can fail to justify or
+    observe a port at all.  This module turns each of those partial
+    failures into a {e degraded but valid} answer instead of an error:
 
     {v
       per fault                       per core
       ---------                       --------
-      PODEM (adaptive limit)          transparency schedule complete?
+      PODEM (caller's limit)          transparency schedule complete?
         | Aborted                       | no (missing routes)
         v                               v
-      D-algorithm (escalated limit)   FSCAN-BSCAN baseline for that
-        | Aborted                     core only: full scan + boundary
+      PODEM (escalated limit)         FSCAN-BSCAN baseline for that
+        | Untestable or Aborted       core only: full scan + boundary
         v                             ring, tested through the ring
       random-pattern top-off          (area up, time up, coverage kept)
         | undetected
         v
-      fault stays aborted (reported)
+      fault keeps rung 2's verdict (reported)
     v}
 
     Every rung firing is counted in the [core.resilient.*] metrics so a
@@ -36,8 +35,12 @@ open Socet_atpg
 
 type atpg_rung =
   | R_podem  (** first-line PODEM found the answer *)
-  | R_dalg   (** D-algorithm rescue after a PODEM abort *)
-  | R_random (** random-pattern top-off after both engines aborted *)
+  | R_escalated
+      (** PODEM at the escalated limit found a test after a first-line
+          abort *)
+  | R_random
+      (** the random-pattern top-off ran: its test, or on a miss the
+          escalated search's [Untestable] or [Aborted] *)
 
 type atpg_result = { a_outcome : Podem.outcome; a_rung : atpg_rung }
 
@@ -50,13 +53,14 @@ val generate_fault :
   Netlist.t ->
   Fault.t ->
   atpg_result
-(** Run one fault down the ladder.  [Untestable] from PODEM is final (the
-    search space was exhausted, not the budget).  The D-algorithm retry
-    runs with an escalated decision limit (8x the backtrack limit, at
-    least 20k); the random top-off simulates [topoff_patterns] (default
-    128) seeded patterns against the single fault.  A fault that survives
-    all three rungs comes back [Aborted] — degraded, never an exception.
-    Rung firings are counted in [core.resilient.dalg_rescues] and
+(** Run one fault down the ladder.  [Untestable] from first-line PODEM
+    is final (the search space was exhausted, not the budget).  An abort
+    retries PODEM at an escalated backtrack limit (8x the caller's, at
+    least 20k).  If that finds no test, the random top-off simulates
+    [topoff_patterns] (default 128) seeded patterns against the single
+    fault; a miss keeps the escalated verdict, [Untestable] or [Aborted]
+    — degraded, never an exception.  Rung firings are counted in
+    [core.resilient.escalated_rescues] and
     [core.resilient.random_topoffs]. *)
 
 (** {2 Per-core scheduling ladder} *)

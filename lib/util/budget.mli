@@ -1,9 +1,8 @@
 (** Fuel/deadline budgets for the search engines.
 
-    Every unbounded loop in the flow — PODEM's decision/backtrack loop, the
-    D-algorithm, transparency-path search, the iterative-improvement
-    optimizer — takes a budget and {e cooperatively} checks it with
-    {!spend}.  When the budget runs out the engine stops and returns a
+    Every unbounded loop in the flow — PODEM's decision/backtrack loop,
+    transparency-path search, the iterative-improvement optimizer — takes
+    a budget and {e cooperatively} checks it with {!spend}.  When the budget runs out the engine stops and returns a
     degraded-but-valid answer (an [Aborted] fault, a [None] path, the
     trajectory so far) instead of spinning forever; see
     [Socet_core.Resilient] for how the outcomes ladder down.

@@ -320,14 +320,12 @@ let random_comb_netlist rng =
   done;
   (nl, k)
 
-(* Independent oracle for both engines' [generate]: every test vector
-   detects its fault under fault simulation, and no fault PODEM proves
-   untestable is detected by any of the 2^k input vectors.  A D-alg
-   [Untestable] is not checked: single-path sensitization is incomplete
-   by design (see {!Dalg.outcome}). *)
+(* Independent oracle for PODEM's [generate]: every test vector detects
+   its fault under fault simulation, and no fault PODEM proves untestable
+   is detected by any of the 2^k input vectors. *)
 let prop_podem_exhaustive_oracle =
   QCheck.Test.make
-    ~name:"podem outcomes agree with exhaustive simulation; dalg tests detect"
+    ~name:"podem outcomes agree with exhaustive simulation"
     ~count:200
     QCheck.(int_bound 1_000_000)
     (fun seed ->
@@ -337,15 +335,11 @@ let prop_podem_exhaustive_oracle =
       let all_vectors = List.init (1 lsl k) (fun x -> Bitvec.of_int ~width:k x) in
       List.for_all
         (fun f ->
-          (match Podem.generate ?scoap nl f with
+          match Podem.generate ?scoap nl f with
           | Podem.Test v -> Fsim.detects_comb nl v f
           | Podem.Untestable ->
               not (List.exists (fun v -> Fsim.detects_comb nl v f) all_vectors)
           | Podem.Aborted -> true)
-          &&
-          match Dalg.generate nl f with
-          | Dalg.Test v -> Fsim.detects_comb nl v f
-          | Dalg.Untestable | Dalg.Aborted -> true)
         (Fault.all nl))
 
 (* ------------------------------------------------------------------ *)
@@ -501,9 +495,8 @@ let scoap_tests =
     Alcotest.test_case "guides podem" `Quick test_scoap_guides_podem;
   ]
 
-
 (* ------------------------------------------------------------------ *)
-(* D-algorithm                                                         *)
+(* Diagnosis                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let adder_nl () =
@@ -515,149 +508,6 @@ let adder_nl () =
   Builder.output_word nl "s" s;
   Netlist.add_po nl "c" c;
   nl
-
-let test_dalg_sound_on_adder () =
-  let nl = adder_nl () in
-  List.iter
-    (fun f ->
-      match Dalg.generate nl f with
-      | Dalg.Test v ->
-          check (Fault.name nl f ^ " vector detects") true (Fsim.detects_comb nl v f)
-      | Dalg.Untestable ->
-          (* Cross-check against PODEM: on this circuit the single-path
-             restriction loses nothing. *)
-          check (Fault.name nl f ^ " agreed untestable") true
-            (match Podem.generate nl f with Podem.Test _ -> false | _ -> true)
-      | Dalg.Aborted -> ())
-    (Fault.collapse nl)
-
-let test_dalg_const_faults () =
-  (* A gate input tied to constant 1: output sa0 via the tied side is the
-     classic redundancy — the D-algorithm must not invent a test. *)
-  let nl, buf = redundant_circuit () in
-  (match Dalg.generate nl { f_net = buf; f_stuck = true } with
-  | Dalg.Untestable -> ()
-  | Dalg.Test _ -> Alcotest.fail "redundant fault got a test"
-  | Dalg.Aborted -> Alcotest.fail "tiny circuit aborted");
-  (* And the testable polarity still gets one. *)
-  match Dalg.generate nl { f_net = buf; f_stuck = false } with
-  | Dalg.Test v ->
-      check "sa0 vector detects" true
-        (Fsim.detects_comb nl v { f_net = buf; f_stuck = false })
-  | _ -> Alcotest.fail "expected a test"
-
-let test_dalg_mux_circuit () =
-  let nl = Netlist.create "m" in
-  let s = Netlist.add_pi nl "s" in
-  let a = Netlist.add_pi nl "a" in
-  let b = Netlist.add_pi nl "b" in
-  let m = Netlist.add_gate nl Cell.Mux2 [| s; a; b |] in
-  Netlist.add_po nl "y" m;
-  List.iter
-    (fun f ->
-      match Dalg.generate nl f with
-      | Dalg.Test v -> check "mux test detects" true (Fsim.detects_comb nl v f)
-      | Dalg.Untestable -> Alcotest.fail "all mux faults are testable"
-      | Dalg.Aborted -> Alcotest.fail "mux aborted")
-    (Fault.collapse nl)
-
-let test_dalg_run_stats () =
-  let nl = adder_nl () in
-  let s = Dalg.run nl in
-  check "full coverage on the adder" true (s.Dalg.coverage > 95.0);
-  check_int "nothing aborted" 0 s.Dalg.aborted;
-  (* Sampling processes fewer faults. *)
-  let s2 = Dalg.run ~sample:4 nl in
-  check "sampled subset" true (s2.Dalg.total < s.Dalg.total)
-
-(* D-alg on the six paper cores: every 29th collapsed fault at a
-   decision limit of 400.  Per core, the number of faults tried and an
-   MD5 of one "fault=outcome" line per fault (the vector for a test, U or
-   A otherwise); then the summed [atpg.dalg.decisions] and the count and
-   sum of the [atpg.dalg.d_frontier_size] histogram.  Recorded from the
-   D-algorithm's own fixpoint evaluator before it moved onto the shared
-   five-valued machine: the search must make the same decisions in the
-   same order. *)
-let dalg_core_golden =
-  [
-    ("PREP", Socet_cores.Preprocessor.core,
-     (37, "ff703f8b96e6adb958822e3357039169"));
-    ("CPU", Socet_cores.Cpu.core,
-     (41, "d06947baa93607b81cb01b0960fe0164"));
-    ("DISPLAY", Socet_cores.Display.core,
-     (53, "c27cc2dbbe8218037193c36a4e1c3ca4"));
-    ("GFX", Socet_cores.Graphics.core,
-     (37, "cd2722cdd59d30f6463e2e4b130c255d"));
-    ("GCD", Socet_cores.Gcd_core.core,
-     (28, "a9e97c20fe057df0fa64bcb6211a7d21"));
-    ("X25", Socet_cores.X25.core,
-     (21, "9a7b4376699cdfa866c42c40a3221a70"));
-  ]
-
-let test_dalg_paper_cores_golden () =
-  let decisions = Obs.counter ~scope:"atpg" "dalg.decisions" in
-  let frontier () =
-    match List.assoc_opt "atpg.dalg.d_frontier_size" (Obs.snapshot_histograms ()) with
-    | Some h -> (h.Socet_obs.Histogram.s_count, int_of_float h.s_sum)
-    | None -> (0, 0)
-  in
-  let was_on = Obs.enabled () in
-  Obs.configure ();
-  let d0 = Obs.value decisions and c0, s0 = frontier () in
-  Fun.protect ~finally:(fun () -> if not was_on then Obs.disable ()) @@ fun () ->
-  List.iter
-    (fun (name, core, (nfaults, digest)) ->
-      let nl = Socet_synth.Elaborate.core_to_netlist (core ()) in
-      let faults = Fault.collapse nl |> List.filteri (fun i _ -> i mod 29 = 0) in
-      let line f =
-        Fault.name nl f ^ "="
-        ^
-        match Dalg.generate ~decision_limit:400 nl f with
-        | Dalg.Test v -> Bitvec.to_string v
-        | Dalg.Untestable -> "U"
-        | Dalg.Aborted -> "A"
-      in
-      let lines = List.map line faults in
-      check_int (name ^ " faults") nfaults (List.length faults);
-      Alcotest.(check string)
-        (name ^ " outcome digest") digest
-        (Digest.to_hex (Digest.string (String.concat "\n" lines))))
-    dalg_core_golden;
-  let c1, s1 = frontier () in
-  Alcotest.(check (list int))
-    "decisions / frontier observations / frontier sum" [ 20_377; 12_705; 27_434 ]
-    [ Obs.value decisions - d0; c1 - c0; s1 - s0 ]
-
-(* Seed 118 of the oracle's generator is a 38-gate netlist on which
-   i7/sa0 is redundant.  Without an X-path check the D-algorithm spent its
-   whole 20,000-decision limit driving the error toward frontiers that
-   could no longer reach an output, and aborted. *)
-let test_dalg_x_path_prunes () =
-  let nl, _ = random_comb_netlist (Rng.create 118) in
-  match List.find_opt (fun f -> Fault.name nl f = "i7/sa0") (Fault.all nl) with
-  | None -> Alcotest.fail "no i7/sa0 fault"
-  | Some f -> (
-      check "PODEM proves it untestable" true (Podem.generate nl f = Podem.Untestable);
-      match Dalg.generate nl f with
-      | Dalg.Untestable -> ()
-      | Dalg.Aborted -> Alcotest.fail "D-alg aborted"
-      | Dalg.Test _ -> Alcotest.fail "D-alg found a test for a redundant fault")
-
-let dalg_tests =
-  [
-    Alcotest.test_case "sound on adder" `Quick test_dalg_sound_on_adder;
-    Alcotest.test_case "constant redundancy" `Quick test_dalg_const_faults;
-    Alcotest.test_case "mux circuit" `Quick test_dalg_mux_circuit;
-    Alcotest.test_case "run stats" `Quick test_dalg_run_stats;
-    Alcotest.test_case "paper cores golden" `Quick test_dalg_paper_cores_golden;
-    Alcotest.test_case "X-path check ends a redundant fault" `Quick
-      test_dalg_x_path_prunes;
-  ]
-
-
-(* ------------------------------------------------------------------ *)
-(* Diagnosis                                                           *)
-(* ------------------------------------------------------------------ *)
 
 let test_diagnosis_pinpoints_defect () =
   let nl = adder_nl () in
@@ -808,7 +658,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_compaction_preserves_coverage;
         ] );
       ("scoap", scoap_tests);
-      ("dalg", dalg_tests);
       ("diagnose+testpoints", diagnose_tp_tests);
       ( "seqgen",
         [
